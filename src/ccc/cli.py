@@ -59,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=int,
         default=None,
-        help="worker threads (0 = auto; default 1, or CCC_THREADS)",
+        help="worker threads for nsm (0 = auto; default 1, or CCC_THREADS)",
     )
 
     sub.add_parser("info", parents=[chain_parent], help="chain summary")
@@ -102,6 +102,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(f"{name:10s} {desc}")
         return EXIT_OK
     started = time.perf_counter()
+    args.threads = _threads(args)  # validated for every chain command; only nsm uses it
     chain = _load_chain(args)
     handler = _HANDLERS[args.command]
     results, code, human = handler(chain, args)
@@ -137,7 +138,11 @@ def _load_chain(args: argparse.Namespace) -> CodeChain:
 def _threads(args: argparse.Namespace) -> int:
     t = args.threads
     if t is None:
-        t = int(os.environ.get("CCC_THREADS", "1"))
+        env = os.environ.get("CCC_THREADS", "1")
+        try:
+            t = int(env)
+        except ValueError:
+            raise ValueError(f"CCC_THREADS must be an integer, got {env!r}") from None
     if t == 0:
         return os.cpu_count() or 1
     if t < 0:
@@ -264,7 +269,7 @@ def _witness_dict(w: spectrum.EdsWitness | None) -> dict | None:
 
 def _cmd_eds(chain: CodeChain, args) -> tuple[dict, int, list[str]]:
     r2max = _eds_r2max(chain, args)
-    equal, witness = spectrum.eds_check(chain, r2max, threads=_threads(args))
+    equal, witness = spectrum.eds_check(chain, r2max)
     results = {"eds": equal, "r2max": r2max, "witness": _witness_dict(witness)}
     human = [f"equal distance spectra up to d^2={r2max}: {equal}"]
     if witness is not None:
@@ -293,7 +298,7 @@ def _cmd_gu(chain: CodeChain, args) -> tuple[dict, int, list[str]]:
 
 def _cmd_gu_search(chain: CodeChain, args) -> tuple[dict, int, list[str]]:
     r2max = _eds_r2max(chain, args)
-    res = uniformity.gu_subgroup_search(chain, r2max, threads=_threads(args))
+    res = uniformity.gu_subgroup_search(chain, r2max)
     results = {
         "verdict": res.verdict,
         "r2max": r2max,
@@ -359,7 +364,7 @@ def _cmd_partner(chain: CodeChain, args) -> tuple[dict, int, list[str]]:
 
 
 def _cmd_nsm(chain: CodeChain, args) -> tuple[dict, int, list[str]]:
-    est = quantizer.nsm_estimate(chain, args.samples, args.seed, threads=_threads(args))
+    est = quantizer.nsm_estimate(chain, args.samples, args.seed, threads=args.threads)
     results = {
         "value": est.value,
         "stderr": est.stderr,

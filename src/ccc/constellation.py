@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .f2 import BinaryCode, Word, is_linear, is_nested
 
@@ -163,10 +163,7 @@ def points_in_box(chain: CodeChain, lo: Sequence[int], hi: Sequence[int]) -> lis
                 break
             axes.append(range(first, b + 1, m))
         else:
-            out.extend(_cartesian(axes))
+            out.extend(itertools.product(*axes))
     out.sort()
     return out
 
-
-def _cartesian(axes: list[range]) -> Iterable[Point]:
-    return itertools.product(*axes) if axes else [()]

@@ -221,36 +221,31 @@ def is_lattice_direct(chain: CodeChain, find_witness: bool = True) -> tuple[bool
     when the infinite point set is a lattice (a finite set closed under
     addition in a finite group is a subgroup).  When all codes are linear it
     suffices to translate by each scaled codeword; otherwise every residue
-    pair is checked.  The witness, when requested, is the lexicographically
-    first failing pair.
+    pair is checked, in lexicographic order.  That one pair scan also yields
+    the witness, when requested: the lexicographically first failing pair.
     """
     rs = residues(chain)
     m = chain.modulus
     members = rs.residues
-    if chain.all_linear():
-        closed = True
-        for level, code in enumerate(chain.codes):
-            for w in code.sorted_words():
-                g = tuple(b << level for b in w)
-                if any(_add_mod(s, g, m) not in members for s in members):
-                    closed = False
-                    break
-            if not closed:
-                break
-    else:
-        closed = all(
-            _add_mod(s, t, m) in members for s in members for t in members
+    linear = chain.all_linear()
+    if linear:
+        scaled = (
+            tuple(b << level for b in w)
+            for level, code in enumerate(chain.codes)
+            for w in code.sorted_words()
         )
-    if closed:
-        return True, None
-    if not find_witness:
-        return False, None
+        closed = all(_add_mod(s, g, m) in members for g in scaled for s in members)
+        if closed or not find_witness:
+            return closed, None
     order = rs.sorted
-    for s in order:
-        for t in order:
-            if _add_mod(s, t, m) not in members:
-                return False, (s, t)
-    raise RuntimeError("closure failed but no witness pair exists")
+    witness = next(
+        ((s, t) for s in order for t in order if _add_mod(s, t, m) not in members), None
+    )
+    if witness is None:
+        if linear:
+            raise RuntimeError("closure failed but no witness pair exists")
+        return True, None
+    return False, witness if find_witness else None
 
 
 @dataclass(frozen=True)

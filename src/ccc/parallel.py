@@ -14,19 +14,15 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def resolve_threads(threads: int | None) -> int:
-    """Normalize a thread-count request; 0 or None means auto."""
-    if threads is None or threads == 0:
-        return os.cpu_count() or 1
-    if threads < 0:
-        raise ValueError(f"thread count must be nonnegative, got {threads}")
-    return threads
-
-
 def ordered_map(fn: Callable[[T], R], items: Sequence[T] | Iterable[T], threads: int = 1) -> list[R]:
-    """Apply fn to every item, preserving input order in the result list."""
+    """Apply fn to every item, preserving input order in the result list.
+
+    The pool never has more workers than items or cores: ``pool.map`` submits
+    every item at once, so an uncapped request would start one thread per item.
+    """
     items = list(items)
-    if threads <= 1 or len(items) <= 1:
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -6,6 +6,12 @@ profile of such a coset is the n-fold convolution of one-dimensional coset
 profiles.  A coordinate u and its negation 2^L - u share a profile, and
 profiles are permutation-invariant, so cosets are keyed by the sorted folded
 digit vector.  Everything is integer-exact; distances are always squared.
+
+Two centers whose folded keys agree as multisets have identical spectra at
+every radius.  The residues therefore fall into spectrum classes, and the
+whole-constellation questions (equal spectra, kissing numbers) need one
+``spectrum_at`` call per class, made at the class's lexicographically first
+residue.
 """
 
 from __future__ import annotations
@@ -14,10 +20,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .constellation import CodeChain, Point, contains, residues
-from .parallel import ordered_map
 
 MAX_SPECTRUM_WORK = 10**8
 
@@ -75,50 +80,32 @@ class EdsWitness:
     count_b: int
 
 
-def eds_check(
-    chain: CodeChain, r2max: int, threads: int = 1
-) -> tuple[bool, EdsWitness | None]:
+def eds_check(chain: CodeChain, r2max: int) -> tuple[bool, EdsWitness | None]:
     """Whether every member sees identical neighbor counts up to r2max.
 
-    Residues suffice as centers because period translates preserve spectra.
-    Centers whose folded coset keys agree as multisets have identical spectra
-    at every radius; only distinct key multisets need their tables compared.
-    The witness is the first residue (in lexicographic order) whose table
-    differs from the first residue's, at the smallest disagreeing distance.
+    Residues suffice as centers because period translates preserve spectra,
+    and one center per spectrum class suffices because a class shares its
+    table.  The class tables are built one at a time and compared with the
+    first, stopping at the first that differs.  The witness is therefore the
+    first residue (in lexicographic order) whose table differs from the first
+    residue's, at the smallest disagreeing distance.
     """
-    rs = residues(chain)
-    m = chain.modulus
-    if len(rs) ** 2 > MAX_SPECTRUM_WORK:
-        raise ValueError("spectrum comparison exceeds the work guard")
-    order = rs.sorted
-
-    def signature(c: Point) -> frozenset[tuple[tuple[int, ...], int]]:
-        return frozenset(Counter(_folded_key(s, c, m) for s in order).items())
-
-    sigs = ordered_map(signature, order, threads)
-    tables: dict[frozenset, dict[int, int]] = {}
-
-    def table_of(sig) -> dict[int, int]:
-        if sig not in tables:
-            tables[sig] = _table_from_keys(m, dict(sig), r2max)
-        return tables[sig]
-
-    ref = table_of(sigs[0])
-    for c, sig in zip(order[1:], sigs[1:]):
-        if sig == sigs[0]:
-            continue
-        t = table_of(sig)
+    reps = _class_representatives(chain)
+    first = next(reps)
+    ref = spectrum_at(chain, first, r2max).counts
+    for c in reps:
+        t = spectrum_at(chain, c, r2max).counts
         if t == ref:
             continue
         d2 = min(k for k in set(ref) | set(t) if ref.get(k, 0) != t.get(k, 0))
         return False, EdsWitness(
-            center_a=order[0],
+            center_a=first,
             center_b=c,
             d2=d2,
             count_a=ref.get(d2, 0),
             count_b=t.get(d2, 0),
         )
-    if not ref and all(not t for t in tables.values()):
+    if not ref:
         raise ValueError("r2max is below the minimum squared distance")
     return True, None
 
@@ -129,11 +116,10 @@ def kissing_stats(chain: CodeChain) -> tuple[int, set[int]]:
     The period translates c +/- 2^L e_j guarantee neighbors at 4^L, so that
     radius always suffices to locate the minimum.
     """
-    rs = residues(chain)
     m = chain.modulus
-    tables = [spectrum_at(chain, c, m * m) for c in rs.sorted]
-    d2min = min(min(t.counts) for t in tables)  # every table holds the 4^L shell
-    return d2min, {t.counts.get(d2min, 0) for t in tables}
+    tables = [spectrum_at(chain, c, m * m).counts for c in _class_representatives(chain)]
+    d2min = min(min(t) for t in tables)  # every table holds the 4^L shell
+    return d2min, {t.get(d2min, 0) for t in tables}
 
 
 def cw_count(chain: CodeChain, x: Sequence[int], e: Sequence[int]) -> int:
@@ -183,6 +169,25 @@ def _key_table(m: int, key: tuple[int, ...], r2max: int) -> tuple[tuple[int, int
                 nxt[j + d2] += a * cnt
         acc = nxt
     return tuple((d2, cnt) for d2, cnt in enumerate(acc) if cnt)
+
+
+def _class_representatives(chain: CodeChain) -> Iterator[Point]:
+    """The lexicographically first residue of each spectrum class, in order.
+
+    A class is the set of residues whose folded keys agree as a multiset.
+    Classes are found lazily, so a caller that stops early skips the rest.
+    """
+    rs = residues(chain)
+    m = chain.modulus
+    if len(rs) ** 2 > MAX_SPECTRUM_WORK:
+        raise ValueError("spectrum comparison exceeds the work guard")
+    order = rs.sorted
+    seen: set[frozenset[tuple[tuple[int, ...], int]]] = set()
+    for c in order:
+        sig = frozenset(Counter(_folded_key(s, c, m) for s in order).items())
+        if sig not in seen:
+            seen.add(sig)
+            yield c
 
 
 def _folded_key(s: Point, c: Point, m: int) -> tuple[int, ...]:

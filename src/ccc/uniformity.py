@@ -16,7 +16,7 @@ from itertools import permutations, product
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .constellation import CodeChain, Point, contains, decompose, residues
+from .constellation import CodeChain, Point, ResidueSet, contains, decompose, residues
 from .spectrum import EdsWitness, cw_equidistant, eds_check
 
 MAX_SEARCH_DIMENSION = 6  # the signed-permutation search scans 2^n * n! candidates
@@ -68,7 +68,8 @@ def gu_check_two_level(chain: CodeChain) -> GuTwoLevelResult:
 
     For each residue x the check is the exact set equality
     {T_x(s - x) mod 4 : s residue} == residues, which is sound because T_x
-    maps 4*Z^n to itself.
+    maps 4*Z^n to itself.  T_x is a signed permutation with the identity
+    permutation, so the test is the one the isometry search runs.
     """
     if chain.L != 2:
         raise ValueError("the reflection certificate requires exactly two levels")
@@ -76,47 +77,30 @@ def gu_check_two_level(chain: CodeChain) -> GuTwoLevelResult:
         raise ValueError("the reflection certificate requires linear codes")
     rs = residues(chain)
     m = chain.modulus
-    members = rs.residues
+    identity = tuple(range(chain.n))
     certs: list[GuCertificate] = []
     for x in rs.sorted:
         t = reflection_for(chain, x)
-        image = {
-            tuple(v % m for v in t.apply(tuple(a - b for a, b in zip(s, x))))
-            for s in members
-        }
-        if image != members:
+        if not _maps_onto(rs, x, identity, t.signs, m):
             return GuTwoLevelResult(uniform=False, certificates=tuple(certs), failing=x)
         certs.append(GuCertificate(x=x, signs=t.signs))
     return GuTwoLevelResult(uniform=True, certificates=tuple(certs), failing=None)
 
 
-def reflect_difference_digits(
-    chain: CodeChain, x: Sequence[int], y: Sequence[int]
-) -> tuple[tuple[int, ...], tuple[int, ...], Point]:
-    """Digit decomposition of T_x(y - x) by direct carry analysis.
+def _maps_onto(
+    rs: ResidueSet, x: Point, perm: Sequence[int], signs: Sequence[int], m: int
+) -> bool:
+    """Whether p -> signs * (p - x)[perm] mod m maps the residue set onto itself.
 
-    Returns (d1, d2, z) with T_x(y - x) == d1 + 2*d2 + 4*z, where d1 and d2
-    are the mod-2 digit differences.  The integer part follows four boundary
-    cases split on the reflected coordinate and the sign of the level-2 digit
-    difference; the choice of weak versus strict inequality at zero matters
-    and is pinned by the tests against the direct decomposition.
+    The map is a bijection of (Z/m)^n, so the image of the residues has
+    |rs| points and equals the set exactly when every image point is a
+    residue; the scan stops at the first that is not.
     """
-    if chain.L != 2:
-        raise ValueError("carry analysis is defined for two-level chains")
-    (c1, c2), z = decompose(chain, x)
-    (c1t, c2t), zt = decompose(chain, y)
-    d1: list[int] = []
-    d2: list[int] = []
-    zp: list[int] = []
-    for i in range(chain.n):
-        d1.append((c1t[i] - c1[i]) % 2)
-        d2.append((c2t[i] - c2[i]) % 2)
-        e2 = c2t[i] - c2[i]
-        if c1[i] == 0:
-            zp.append(zt[i] - z[i] if e2 >= 0 else zt[i] - z[i] - 1)
-        else:
-            zp.append(z[i] - zt[i] if e2 <= 0 else z[i] - zt[i] - 1)
-    return tuple(d1), tuple(d2), tuple(zp)
+    members = rs.residues
+    return all(
+        tuple((s * (p[k] - x[k])) % m for s, k in zip(signs, perm)) in members
+        for p in members
+    )
 
 
 @dataclass(frozen=True)
@@ -141,9 +125,7 @@ class GuSearchResult:
     unresolved: Point | None
 
 
-def gu_subgroup_search(
-    chain: CodeChain, r2max: int | None = None, threads: int = 1
-) -> GuSearchResult:
+def gu_subgroup_search(chain: CodeChain, r2max: int | None = None) -> GuSearchResult:
     """Decide uniformity as far as signed permutations allow.
 
     Unequal spectra refute uniformity outright, whatever the isometry group.
@@ -155,7 +137,7 @@ def gu_subgroup_search(
     """
     if r2max is None:
         r2max = default_eds_radius(chain)
-    equal, witness = eds_check(chain, r2max, threads=threads)
+    equal, witness = eds_check(chain, r2max)
     if not equal:
         return GuSearchResult(
             verdict="refuted_by_eds", eds_witness=witness, isometries=(), unresolved=None
@@ -166,17 +148,12 @@ def gu_subgroup_search(
         )
     rs = residues(chain)
     m = chain.modulus
-    members = rs.residues
     found: list[IsometryCandidate] = []
     for x in rs.sorted:
-        diffs = [tuple(a - b for a, b in zip(s, x)) for s in rs.sorted]
         hit: IsometryCandidate | None = None
         for perm in permutations(range(chain.n)):
             for signs in product((1, -1), repeat=chain.n):
-                image = {
-                    tuple((s * d[k]) % m for s, k in zip(signs, perm)) for d in diffs
-                }
-                if image == members:
+                if _maps_onto(rs, x, perm, signs, m):
                     translation = tuple(-s * x[k] for s, k in zip(signs, perm))
                     hit = IsometryCandidate(permutation=perm, signs=signs, translation=translation)
                     break

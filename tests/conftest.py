@@ -8,10 +8,12 @@ from itertools import combinations
 from math import isqrt
 
 import pytest
+from hypothesis import strategies as st
 
 from ccc.constellation import CodeChain, Point, points_in_box, residues
-from ccc.f2 import BinaryCode, Word, span, unpack
+from ccc.f2 import BinaryCode, Word, code_from_words, span, unpack
 from ccc.presets import example1, example3, example5
+from ccc.spectrum import EdsWitness, spectrum_at
 
 
 @pytest.fixture
@@ -99,3 +101,54 @@ def all_subspaces(n: int) -> list[BinaryCode]:
             code = span(combo, n=n)
             seen.setdefault(code.words, code)
     return list(seen.values())
+
+
+@st.composite
+def small_chains(draw, nmax: int = 4, lmax: int = 3) -> CodeChain:
+    """Linear and non-linear chains with n <= nmax, 1..lmax levels and at most 4^L residues.
+
+    Each level is either the span of one or two random words or an explicit
+    set of up to three random words, which is usually not linear.
+    """
+    n = draw(st.integers(1, nmax))
+    word = st.integers(0, (1 << n) - 1).map(lambda v: unpack(v, n))
+    codes = []
+    for _ in range(draw(st.integers(1, lmax))):
+        if draw(st.booleans()):
+            codes.append(span(draw(st.lists(word, min_size=1, max_size=2)), n=n))
+        else:
+            codes.append(code_from_words(draw(st.lists(word, min_size=1, max_size=3))))
+    return CodeChain(codes=tuple(codes))
+
+
+def eds_oracle(chain: CodeChain, r2max: int) -> tuple[bool, EdsWitness | None]:
+    """Slow path of eds_check: a full spectrum at every residue, in sorted order."""
+    order = residues(chain).sorted
+    tables = [spectrum_at(chain, c, r2max).counts for c in order]
+    ref = tables[0]
+    for c, t in zip(order[1:], tables[1:]):
+        if t != ref:
+            d2 = min(k for k in set(ref) | set(t) if ref.get(k, 0) != t.get(k, 0))
+            return False, EdsWitness(order[0], c, d2, ref.get(d2, 0), t.get(d2, 0))
+    if not ref:
+        raise ValueError("r2max is below the minimum squared distance")
+    return True, None
+
+
+def kissing_oracle(chain: CodeChain) -> tuple[int, set[int]]:
+    """Slow path of kissing_stats: a full spectrum at every residue."""
+    m = chain.modulus
+    tables = [spectrum_at(chain, c, m * m).counts for c in residues(chain).sorted]
+    d2min = min(min(t) for t in tables)
+    return d2min, {t.get(d2min, 0) for t in tables}
+
+
+def first_failing_pair(chain: CodeChain) -> tuple[Point, Point] | None:
+    """Slow path of the closure witness: every residue pair, in lexicographic order."""
+    rs = residues(chain)
+    m = chain.modulus
+    for s in rs.sorted:
+        for t in rs.sorted:
+            if tuple((a + b) % m for a, b in zip(s, t)) not in rs:
+                return s, t
+    return None

@@ -1,6 +1,9 @@
 import io
 import json
 
+import pytest
+
+from ccc import parallel
 from ccc.chainfile import parse_chain
 from ccc.cli import main
 from ccc.presets import example5
@@ -166,6 +169,61 @@ def test_ccc_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("CCC_THREADS", "2")
     code, report = run_json(capsys, "eds", "--preset", "example1")
     assert code == 0 and report["results"]["eds"] is True
+
+
+CHAIN_COMMANDS = {
+    "info": ["info"],
+    "lattice": ["lattice"],
+    "theorem1": ["theorem1"],
+    "spectrum": ["spectrum", "--center", "0,0", "--r2max", "4"],
+    "eds": ["eds"],
+    "gu": ["gu"],
+    "gu-search": ["gu-search"],
+    "partner": ["partner", "--mode", "cw-brute", "--x", "0,0", "--y", "1,1", "--xp", "0,0"],
+    "nsm": ["nsm", "--samples", "1000"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHAIN_COMMANDS))
+def test_bad_thread_count_is_input_error(capsys, monkeypatch, command):
+    argv = CHAIN_COMMANDS[command] + ["--preset", "example1"]
+    code, out, err = run_cli(capsys, *argv, "--threads", "-1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: thread count") and "Traceback" not in err
+
+    monkeypatch.setenv("CCC_THREADS", "two")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: CCC_THREADS") and "Traceback" not in err
+
+
+def test_nsm_thread_pool_is_capped(capsys, monkeypatch):
+    class RecordingPool:
+        """Stands in for the thread pool: records its size, maps in the caller's thread."""
+
+        sizes: list[int] = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    argv = ["nsm", "--preset", "dplus3", "--samples", str(5 * 8192 - 100), "--seed", "3"]
+    _, serial = run_json(capsys, *argv, "--threads", "1")
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
+    code, capped = run_json(capsys, *argv, "--threads", "64")
+    assert code == 0 and capped == serial
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
+    run_json(capsys, *argv, "--threads", "64")
+    assert RecordingPool.sizes == [5, 3]  # 5 batches, then 3 cores
 
 
 def test_digest_is_canonical(capsys, tmp_path):

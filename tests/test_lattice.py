@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from ccc.constellation import CodeChain, residues
 from ccc.f2 import code_from_words, span
@@ -15,7 +16,7 @@ from ccc.lattice import (
 )
 from ccc.quantizer import dplus_chain
 
-from conftest import all_subspaces, random_nested_chain, subgroup_closure
+from conftest import all_subspaces, first_failing_pair, random_nested_chain, small_chains, subgroup_closure
 
 
 def test_hnf_examples():
@@ -213,3 +214,11 @@ def test_inconsistent_report_raises_on_verdict():
     assert not rep.consistent
     with pytest.raises(RuntimeError):
         rep.verdict
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_chains())
+def test_direct_witness_is_first_failing_pair(chain):
+    expected = first_failing_pair(chain)
+    assert is_lattice_direct(chain) == (expected is None, expected)
+    assert is_lattice_direct(chain, find_witness=False) == (expected is None, None)

@@ -1,13 +1,23 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccc.constellation import CodeChain
 from ccc.f2 import code_from_words, span
 from ccc.quantizer import dplus_chain
 from ccc.spectrum import cw_count, cw_equidistant, eds_check, kissing_stats, spectrum_at
 
-from conftest import brute_spectrum, random_l2_chain, random_member, random_nested_chain
+from conftest import (
+    brute_spectrum,
+    eds_oracle,
+    kissing_oracle,
+    random_l2_chain,
+    random_member,
+    random_nested_chain,
+    small_chains,
+)
 
 
 def trivial_chain(n: int, levels: int = 2) -> CodeChain:
@@ -119,3 +129,25 @@ def test_cw_count_matches_bruteforce(e3):
 def test_cw_count_requires_member(e3):
     with pytest.raises(ValueError):
         cw_count(e3, (6,), (1,))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_chains(), st.data())
+def test_spectrum_classes_match_per_residue_oracles(chain, data):
+    m2 = chain.modulus ** 2
+    r2max = data.draw(st.integers(1, 2 * m2), label="r2max")
+    assert _outcome(eds_check, chain, r2max) == _outcome(eds_oracle, chain, r2max)
+    assert kissing_stats(chain) == kissing_oracle(chain)
+
+
+def test_eds_rejects_nonpositive_radius(e1):
+    for r2max in (0, -5):
+        with pytest.raises(ValueError, match="at least 1"):
+            eds_check(e1, r2max)

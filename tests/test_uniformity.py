@@ -16,11 +16,33 @@ from ccc.uniformity import (
     gu_subgroup_search,
     partner_bruteforce,
     partner_construct,
-    reflect_difference_digits,
     reflection_for,
 )
 
 from conftest import random_l2_chain, random_member
+
+
+def reflect_difference_digits(chain: CodeChain, x, y):
+    """Digit decomposition of T_x(y - x) by direct carry analysis.
+
+    Returns (d1, d2, z) with T_x(y - x) == d1 + 2*d2 + 4*z, where d1 and d2
+    are the mod-2 digit differences.  The integer part follows four boundary
+    cases split on the reflected coordinate and the sign of the level-2 digit
+    difference; the choice of weak versus strict inequality at zero matters
+    and is pinned by the test against the direct decomposition.
+    """
+    (c1, c2), z = decompose(chain, x)
+    (c1t, c2t), zt = decompose(chain, y)
+    d1, d2, zp = [], [], []
+    for i in range(chain.n):
+        d1.append((c1t[i] - c1[i]) % 2)
+        d2.append((c2t[i] - c2[i]) % 2)
+        e2 = c2t[i] - c2[i]
+        if c1[i] == 0:
+            zp.append(zt[i] - z[i] if e2 >= 0 else zt[i] - z[i] - 1)
+        else:
+            zp.append(z[i] - zt[i] if e2 <= 0 else z[i] - zt[i] - 1)
+    return tuple(d1), tuple(d2), tuple(zp)
 
 
 def z_line_chain() -> CodeChain:
