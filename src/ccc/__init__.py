@@ -1,7 +1,7 @@
 """Multi-level constellations from binary code chains: lattice tests,
 uniformity certificates, exact distance spectra, and coset quantization."""
 
-from .constellation import CodeChain, Point, ResidueSet, contains, decompose, points_in_box, residues
+from .constellation import CodeChain, Point, ResidueSet, contains, cw_members, decompose, points_in_box, residues
 from .f2 import BinaryCode, Word, code_from_words, is_linear, is_nested, schur, schur_closed_chain, span, xor_add
 from .lattice import (
     EquivalenceReport,

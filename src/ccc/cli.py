@@ -101,6 +101,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         for name, desc in preset_descriptions():
             print(f"{name:10s} {desc}")
         return EXIT_OK
+    if args.fmt == "tsv" and args.command != "spectrum":
+        raise ValueError("tsv output is only available for the spectrum command")
     started = time.perf_counter()
     args.threads = _threads(args)  # validated for every chain command; only nsm uses it
     chain = _load_chain(args)
@@ -154,8 +156,6 @@ def _emit(args: argparse.Namespace, report: dict, human: list[str], runtime: flo
     if args.fmt == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     elif args.fmt == "tsv":
-        if args.command != "spectrum":
-            raise ValueError("tsv output is only available for the spectrum command")
         for d2, count in report["results"]["counts"]:
             print(f"{d2}\t{count}")
     else:

@@ -167,3 +167,15 @@ def points_in_box(chain: CodeChain, lo: Sequence[int], hi: Sequence[int]) -> lis
     out.sort()
     return out
 
+
+def cw_members(chain: CodeChain, center: Sequence[int], offset: Sequence[int]) -> list[Point]:
+    """Members y with |y_j - center_j| == |offset_j| for every j, sorted lexicographically.
+
+    Each coordinate has one candidate value (offset 0) or two, so at most 2^n
+    sign patterns are tested by membership; no search radius is involved.
+    """
+    n = chain.n
+    if len(center) != n or len(offset) != n:
+        raise ValueError(f"center and offset must have length {n}")
+    axes = [(c,) if e == 0 else (c - abs(e), c + abs(e)) for c, e in zip(center, offset)]
+    return [y for y in itertools.product(*axes) if contains(chain, y)]

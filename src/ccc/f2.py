@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -95,16 +95,10 @@ def rank_of(words: Iterable[Word]) -> int:
 
 @dataclass(frozen=True)
 class BinaryCode:
-    """A nonempty set of equal-length binary words, optionally with a spanning set.
-
-    ``generators`` is kept for provenance only and is excluded from equality,
-    so a code is the same object whether it was given as a word list or as a
-    spanning set.
-    """
+    """A nonempty set of equal-length binary words."""
 
     n: int
     words: frozenset[Word]
-    generators: tuple[Word, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.words, frozenset):
@@ -119,12 +113,6 @@ class BinaryCode:
             if len(w) != self.n:
                 raise ValueError(f"word {w} does not have length {self.n}")
             _check_word(w)
-        if self.generators is not None:
-            for g in self.generators:
-                if len(g) != self.n:
-                    raise ValueError(f"generator {g} does not have length {self.n}")
-            if _span_set(self.generators, self.n) != self.words:
-                raise ValueError("generators do not span the stated word set")
 
     @property
     def size(self) -> int:
@@ -154,13 +142,13 @@ def span(generators: Iterable[Iterable[int]], n: int | None = None) -> BinaryCod
     if not gens:
         if n is None:
             raise ValueError("an empty generator list needs an explicit length")
-        return BinaryCode(n=n, words=frozenset({zero_word(n)}), generators=())
+        return BinaryCode(n=n, words=frozenset({zero_word(n)}))
     if len(gens) > MAX_SPAN_GENERATORS:
         raise ValueError(f"{len(gens)} generators exceed the guard of {MAX_SPAN_GENERATORS}")
     if n is not None and len(gens[0]) != n:
         raise ValueError(f"generators have length {len(gens[0])}, expected {n}")
     m = len(gens[0])
-    return BinaryCode(n=m, words=frozenset(_span_set(gens, m)), generators=gens)
+    return BinaryCode(n=m, words=_span_set(gens, m))
 
 
 def is_linear(code: BinaryCode) -> bool:

@@ -153,10 +153,11 @@ def select_nested_basis(chain: CodeChain) -> NestedBasis:
         if tracker.rank != k:
             raise RuntimeError("nested basis extension failed")  # impossible for nested linear chains
         dims.append(k)
-    for v in range(1 << n):
-        if tracker.rank == n:
-            break
-        w = unpack(v, n)
+    # Completing by a scan of every word v in increasing order only ever adds
+    # powers of two: for v = 2^a + r with 0 < r < 2^a, both 2^a and r are
+    # smaller and already in the span.  The unit words in that order suffice.
+    for k in range(n):
+        w = unpack(1 << k, n)
         if tracker.add(w):
             rows.append(w)
     return NestedBasis(rows=tuple(rows), dims=tuple(dims))
@@ -191,7 +192,7 @@ def combination_residues(chain: CodeChain) -> frozenset[Point]:
     """The basis-combination points reduced modulo the period."""
     m = chain.modulus
     out = frozenset(tuple(x % m for x in p) for p in combination_points(chain))
-    if len(out) != 1 << sum(select_nested_basis(chain).dims):
+    if len(out) != chain.residue_count():
         raise RuntimeError("basis combinations collided modulo the period")
     return out
 
@@ -199,17 +200,16 @@ def combination_residues(chain: CodeChain) -> frozenset[Point]:
 def construction_d(chain: CodeChain) -> IntegerLattice:
     """The lattice generated by the scaled nested-basis combinations.
 
-    The point count per period must come out as 2^(k_1+...+k_L); anything
-    else would mean the combination set is not itself a lattice, which the
-    nested linear hypothesis rules out.
+    The point count per period must come out as 2^(k_1+...+k_L), the
+    residue count |C_1|...|C_L|; anything else would mean the combination set
+    is not itself a lattice, which the nested linear hypothesis rules out.
     """
     pts = combination_points(chain)
     m = chain.modulus
     gens: list[Sequence[int]] = sorted(set(pts))
     gens.extend(_unit_scaled(chain.n, m))
     lat = hnf(gens)
-    expected = 1 << sum(select_nested_basis(chain).dims)
-    if lat.points_per_period(m) != expected:
+    if lat.points_per_period(m) != chain.residue_count():
         raise RuntimeError("combination lattice has the wrong point count per period")
     return lat
 
@@ -217,35 +217,42 @@ def construction_d(chain: CodeChain) -> IntegerLattice:
 def is_lattice_direct(chain: CodeChain, find_witness: bool = True) -> tuple[bool, tuple[Point, Point] | None]:
     """Decide whether the constellation is closed under addition.
 
-    The residue set is closed under coordinate-wise addition mod 2^L exactly
+    The residue set R is closed under coordinate-wise addition mod 2^L exactly
     when the infinite point set is a lattice (a finite set closed under
-    addition in a finite group is a subgroup).  When all codes are linear it
-    suffices to translate by each scaled codeword; otherwise every residue
-    pair is checked, in lexicographic order.  That one pair scan also yields
-    the witness, when requested: the lexicographically first failing pair.
+    addition in a finite group is a subgroup).  The verdict, for linear and
+    non-linear chains alike, is whether R + 2^i * c stays inside R for every
+    level i and every codeword c of C_(i+1).  That test is complete:
+
+    * If every such translate stays in R, R is closed: each residue r is a
+      sum of scaled codewords (its digits), so R + r is reached by
+      translating one scaled codeword at a time and stays in R.
+    * If R is closed it is a subgroup, so 0 is in R.  The digits of 0 are
+      all zero, so the zero word lies in every code, and every scaled
+      codeword 2^i * c is itself a residue; closure keeps each translate
+      in R.
+
+    Only when the verdict is False and a witness is requested are the |R|^2
+    residue pairs scanned, in lexicographic order, for the first pair whose
+    sum leaves R.
     """
     rs = residues(chain)
     m = chain.modulus
     members = rs.residues
-    linear = chain.all_linear()
-    if linear:
-        scaled = (
-            tuple(b << level for b in w)
-            for level, code in enumerate(chain.codes)
-            for w in code.sorted_words()
-        )
-        closed = all(_add_mod(s, g, m) in members for g in scaled for s in members)
-        if closed or not find_witness:
-            return closed, None
+    scaled = (
+        tuple(b << level for b in w)
+        for level, code in enumerate(chain.codes)
+        for w in code.sorted_words()
+    )
+    closed = all(_add_mod(s, g, m) in members for g in scaled for s in members)
+    if closed or not find_witness:
+        return closed, None
     order = rs.sorted
     witness = next(
         ((s, t) for s in order for t in order if _add_mod(s, t, m) not in members), None
     )
     if witness is None:
-        if linear:
-            raise RuntimeError("closure failed but no witness pair exists")
-        return True, None
-    return False, witness if find_witness else None
+        raise RuntimeError("closure failed but no witness pair exists")
+    return False, witness
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterator, Sequence
 
-from .constellation import CodeChain, Point, contains, residues
+from .constellation import CodeChain, Point, contains, cw_members, residues
 
 MAX_SPECTRUM_WORK = 10**8
 
@@ -38,9 +38,6 @@ class SpectrumTable:
     center: Point
     r2max: int
     counts: dict[int, int]
-
-    def min_distance2(self) -> int | None:
-        return min(self.counts) if self.counts else None
 
     def total(self) -> int:
         return sum(self.counts.values())
@@ -123,20 +120,10 @@ def kissing_stats(chain: CodeChain) -> tuple[int, set[int]]:
 
 
 def cw_count(chain: CodeChain, x: Sequence[int], e: Sequence[int]) -> int:
-    """Number of members y with y - x equal to e up to coordinate sign flips.
-
-    At most 2^n sign patterns are possible, each decided by membership, so no
-    search radius is involved.
-    """
+    """Number of members y with y - x equal to e up to coordinate sign flips."""
     if not contains(chain, x):
         raise ValueError(f"point {tuple(x)} is not in the constellation")
-    if len(e) != chain.n:
-        raise ValueError(f"offset has length {len(e)}, expected {chain.n}")
-    candidates: list[tuple[int, ...]] = [()]
-    for xi, ei in zip(x, e):
-        values = (xi,) if ei == 0 else (xi - abs(ei), xi + abs(ei))
-        candidates = [c + (v,) for c in candidates for v in values]
-    return sum(1 for y in candidates if contains(chain, y))
+    return len(cw_members(chain, x, e))
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,12 @@ maps the translated constellation onto itself.  Because sign flips preserve
 the period sublattice 2^L * Z^n, that infinite-set equality reduces to an
 exact residue-set equality.  For three or more levels the property can fail;
 this module provides the constructive two-level partner, brute-force partner
-oracles that expose the failures, and a restricted isometry search.
+searches that expose the failures, and a restricted isometry search.
+
+Both brute-force partner searches share one coordinate-wise search,
+``constellation.cw_members``: the sign-flip partner of y - x at x' is a
+member at x' +/- |y - x|, and the Euclidean sphere of radius ||y - x|| around
+x' is the union of such searches over the nonnegative vectors of that norm.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from itertools import permutations, product
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .constellation import CodeChain, Point, ResidueSet, contains, decompose, residues
+from .constellation import CodeChain, Point, ResidueSet, contains, cw_members, decompose, residues
 from .spectrum import EdsWitness, cw_equidistant, eds_check
 
 MAX_SEARCH_DIMENSION = 6  # the signed-permutation search scans 2^n * n! candidates
@@ -259,33 +264,27 @@ def partner_construct(
 def partner_bruteforce(
     chain: CodeChain, x: Sequence[int], y: Sequence[int], xp: Sequence[int]
 ) -> Point | None:
-    """Exhaust the sign patterns y' = xp +/- |y - x| and return the first member.
+    """The lexicographically first member y' with |y' - xp| == |y - x| coordinate-wise.
 
     None means no coordinate-wise equidistant partner exists at xp.
     """
     _require_members(chain, x, y, xp)
-    candidates: list[tuple[int, ...]] = [()]
-    for xi, yi, pi in zip(x, y, xp):
-        d = abs(yi - xi)
-        values = (pi,) if d == 0 else (pi - d, pi + d)
-        candidates = [c + (v,) for c in candidates for v in values]
-    hits = sorted(y2 for y2 in candidates if contains(chain, y2))
+    hits = cw_members(chain, xp, tuple(b - a for a, b in zip(x, y)))
     return hits[0] if hits else None
 
 
 def euclidean_partner_all(
     chain: CodeChain, x: Sequence[int], y: Sequence[int], xp: Sequence[int]
 ) -> list[Point]:
-    """All members on the sphere around xp of squared radius ||y - x||^2, sorted."""
+    """All members on the sphere around xp of squared radius ||y - x||^2, sorted.
+
+    Each point of the sphere lies at xp +/- e coordinate-wise for exactly one
+    nonnegative vector e of that squared norm, so the sphere is the disjoint
+    union of the coordinate-wise searches over those e.
+    """
     _require_members(chain, x, y, xp)
     d2 = sum((a - b) ** 2 for a, b in zip(y, x))
-    out = [
-        y2
-        for v in _shell_vectors(chain.n, d2)
-        if contains(chain, y2 := tuple(a + b for a, b in zip(xp, v)))
-    ]
-    out.sort()
-    return out
+    return sorted(y2 for e in _shell_vectors(chain.n, d2) for y2 in cw_members(chain, xp, e))
 
 
 def euclidean_partner_bruteforce(
@@ -297,15 +296,14 @@ def euclidean_partner_bruteforce(
 
 
 def _shell_vectors(n: int, d2: int) -> Iterable[tuple[int, ...]]:
-    """Integer vectors with squared norm exactly d2, in lexicographic order."""
+    """Nonnegative integer vectors with squared norm exactly d2, in lexicographic order."""
 
     def rec(prefix: tuple[int, ...], remaining: int, dims: int):
         if dims == 0:
             if remaining == 0:
                 yield prefix
             return
-        r = isqrt(remaining)
-        for v in range(-r, r + 1):
+        for v in range(isqrt(remaining) + 1):
             yield from rec(prefix + (v,), remaining - v * v, dims - 1)
 
     yield from rec((), d2, n)

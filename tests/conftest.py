@@ -6,12 +6,13 @@ import random
 from collections import Counter
 from itertools import combinations
 from math import isqrt
+from typing import Iterator, Sequence
 
 import pytest
 from hypothesis import strategies as st
 
 from ccc.constellation import CodeChain, Point, points_in_box, residues
-from ccc.f2 import BinaryCode, Word, code_from_words, span, unpack
+from ccc.f2 import BinaryCode, SpanTracker, Word, code_from_words, span, unpack
 from ccc.presets import example1, example3, example5
 from ccc.spectrum import EdsWitness, spectrum_at
 
@@ -121,6 +122,15 @@ def small_chains(draw, nmax: int = 4, lmax: int = 3) -> CodeChain:
     return CodeChain(codes=tuple(codes))
 
 
+@st.composite
+def nested_chains(draw, nmax: int = 7, lmax: int = 3) -> CodeChain:
+    """Nested linear chains: each level spans a prefix of one random generator list."""
+    n = draw(st.integers(1, nmax))
+    gens = draw(st.lists(st.integers(0, (1 << n) - 1).map(lambda v: unpack(v, n)), max_size=n))
+    cuts = draw(st.lists(st.integers(0, len(gens)), min_size=1, max_size=lmax))
+    return CodeChain(codes=tuple(span(gens[:k], n=n) for k in sorted(cuts)))
+
+
 def eds_oracle(chain: CodeChain, r2max: int) -> tuple[bool, EdsWitness | None]:
     """Slow path of eds_check: a full spectrum at every residue, in sorted order."""
     order = residues(chain).sorted
@@ -152,3 +162,53 @@ def first_failing_pair(chain: CodeChain) -> tuple[Point, Point] | None:
             if tuple((a + b) % m for a, b in zip(s, t)) not in rs:
                 return s, t
     return None
+
+
+def members(chain: CodeChain, spread: int = 2):
+    """Strategy: a residue plus a period translate with multipliers in [-spread, spread]."""
+    n, m = chain.n, chain.modulus
+    return st.tuples(
+        st.sampled_from(residues(chain).sorted),
+        st.lists(st.integers(-spread, spread), min_size=n, max_size=n),
+    ).map(lambda t: tuple(s + m * z for s, z in zip(*t)))
+
+
+def sign_candidates(center: Sequence[int], offset: Sequence[int]) -> list[Point]:
+    """Slow path of the coordinate-wise partner search: every point at
+    center +/- |offset|, grown one coordinate at a time (lexicographic order)."""
+    candidates: list[Point] = [()]
+    for c, e in zip(center, offset):
+        values = (c,) if e == 0 else (c - abs(e), c + abs(e))
+        candidates = [p + (v,) for p in candidates for v in values]
+    return candidates
+
+
+def signed_shell(n: int, d2: int) -> Iterator[Point]:
+    """Slow path of the Euclidean partner search: every integer vector of
+    squared norm d2, all signs included, in lexicographic order."""
+    if n == 0:
+        if d2 == 0:
+            yield ()
+        return
+    r = isqrt(d2)
+    for v in range(-r, r + 1):
+        for rest in signed_shell(n - 1, d2 - v * v):
+            yield (v,) + rest
+
+
+def nested_basis_by_word_scan(chain: CodeChain) -> tuple[Word, ...]:
+    """Slow path of select_nested_basis: the rows, with the completion to F2^n
+    found by scanning every word 0 .. 2^n - 1 in increasing order."""
+    tracker = SpanTracker(chain.n)
+    rows: list[Word] = []
+    for code in chain.codes:
+        k = code.size.bit_length() - 1
+        for w in code.sorted_words():
+            if tracker.rank == k:
+                break
+            if tracker.add(w):
+                rows.append(w)
+    for v in range(1 << chain.n):
+        if tracker.add(unpack(v, chain.n)):
+            rows.append(unpack(v, chain.n))
+    return tuple(rows)

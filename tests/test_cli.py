@@ -81,6 +81,14 @@ def test_tsv_rejected_elsewhere(capsys):
     assert "tsv" in err
 
 
+def test_tsv_rejected_before_the_analysis(capsys):
+    # gu would fail on the three-level chain; the format error must come first
+    code, out, err = run_cli(capsys, "gu", "--preset", "example3", "--format", "tsv")
+    assert code == 2
+    assert out == ""
+    assert "tsv" in err
+
+
 def test_partner_modes(capsys):
     code, report = run_json(
         capsys, "partner", "--preset", "example3", "--mode", "cw-brute",

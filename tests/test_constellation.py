@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccc.constellation import (
     CodeChain,
     contains,
+    cw_members,
     decompose,
     points_in_box,
     recompose,
@@ -12,7 +15,13 @@ from ccc.constellation import (
 )
 from ccc.f2 import code_from_words, span
 
-from conftest import random_member, random_nested_chain, subgroup_closure
+from conftest import (
+    random_member,
+    random_nested_chain,
+    sign_candidates,
+    small_chains,
+    subgroup_closure,
+)
 
 
 def test_residues_example1(e1):
@@ -129,3 +138,19 @@ def test_single_level_linear_residues_form_subgroup():
 def test_chain_requires_matching_lengths():
     with pytest.raises(ValueError):
         CodeChain.of(code_from_words([(0, 0)]), code_from_words([(0,)]))
+
+
+def test_cw_members_validates_lengths(e1):
+    with pytest.raises(ValueError):
+        cw_members(e1, (0, 0), (1,))
+    with pytest.raises(ValueError):
+        cw_members(e1, (0,), (1, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_chains(), st.data())
+def test_cw_members_matches_sign_loop(chain, data):
+    center = data.draw(st.lists(st.integers(-20, 20), min_size=chain.n, max_size=chain.n))
+    offset = data.draw(st.lists(st.integers(-9, 9), min_size=chain.n, max_size=chain.n))
+    expected = [y for y in sign_candidates(center, offset) if contains(chain, y)]
+    assert cw_members(chain, center, offset) == expected

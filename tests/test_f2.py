@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ccc.f2 import (
-    BinaryCode,
     code_from_words,
     is_linear,
     is_nested,
@@ -134,11 +133,6 @@ def test_is_nested_partial_order():
 def test_code_requires_equal_lengths():
     with pytest.raises(ValueError):
         code_from_words([(1, 0), (1, 0, 1)])
-
-
-def test_generators_must_span_words():
-    with pytest.raises(ValueError):
-        BinaryCode(n=2, words=frozenset({(0, 0), (1, 1), (1, 0)}), generators=((1, 1),))
 
 
 def test_schur_closed_chain_rejects_nonlinear():

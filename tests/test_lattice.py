@@ -16,7 +16,15 @@ from ccc.lattice import (
 )
 from ccc.quantizer import dplus_chain
 
-from conftest import all_subspaces, first_failing_pair, random_nested_chain, small_chains, subgroup_closure
+from conftest import (
+    all_subspaces,
+    first_failing_pair,
+    nested_basis_by_word_scan,
+    nested_chains,
+    random_nested_chain,
+    small_chains,
+    subgroup_closure,
+)
 
 
 def test_hnf_examples():
@@ -107,6 +115,12 @@ def test_nested_basis_prefixes_span_each_level():
         nb = select_nested_basis(chain)
         for k, code in zip(nb.dims, chain.codes):
             assert span(nb.rows[:k], n=chain.n).words == code.words
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_chains())
+def test_nested_basis_matches_word_scan(chain):
+    assert select_nested_basis(chain).rows == nested_basis_by_word_scan(chain)
 
 
 def test_nested_basis_equal_codes(e5):
@@ -222,3 +236,5 @@ def test_direct_witness_is_first_failing_pair(chain):
     expected = first_failing_pair(chain)
     assert is_lattice_direct(chain) == (expected is None, expected)
     assert is_lattice_direct(chain, find_witness=False) == (expected is None, None)
+    # closure makes each level's digit set closed under xor, so only linear chains pass
+    assert chain.all_linear() or expected is not None

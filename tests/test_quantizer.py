@@ -84,7 +84,7 @@ def test_nsm_invariant_under_coordinate_permutation():
     perm = [2, 0, 1]
     permuted = CodeChain(
         codes=tuple(
-            span([tuple(w[p] for p in perm) for w in code.generators])
+            code_from_words([tuple(w[p] for p in perm) for w in code.words])
             for code in base.codes
         )
     )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccc.constellation import CodeChain
+from ccc.constellation import CodeChain, contains
 from ccc.f2 import code_from_words, span
 from ccc.quantizer import dplus_chain
 from ccc.spectrum import cw_count, cw_equidistant, eds_check, kissing_stats, spectrum_at
@@ -13,9 +13,11 @@ from conftest import (
     brute_spectrum,
     eds_oracle,
     kissing_oracle,
+    members,
     random_l2_chain,
     random_member,
     random_nested_chain,
+    sign_candidates,
     small_chains,
 )
 
@@ -124,6 +126,14 @@ def test_cw_count_matches_bruteforce(e3):
     # one-dimensional: candidates are x-e and x+e
     assert cw_count(e3, (0,), (3,)) == 1  # 3 is a member, -3 is not
     assert cw_count(e3, (9,), (3,)) == 0  # neither 6 nor 12 are members
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_chains(), st.data())
+def test_cw_count_matches_sign_loop(chain, data):
+    x = data.draw(members(chain))
+    e = data.draw(st.lists(st.integers(-9, 9), min_size=chain.n, max_size=chain.n))
+    assert cw_count(chain, x, e) == sum(contains(chain, y) for y in sign_candidates(x, e))
 
 
 def test_cw_count_requires_member(e3):

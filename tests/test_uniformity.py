@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccc.constellation import CodeChain, contains, decompose
@@ -19,7 +19,14 @@ from ccc.uniformity import (
     reflection_for,
 )
 
-from conftest import random_l2_chain, random_member
+from conftest import (
+    members,
+    random_l2_chain,
+    random_member,
+    sign_candidates,
+    signed_shell,
+    small_chains,
+)
 
 
 def reflect_difference_digits(chain: CodeChain, x, y):
@@ -214,3 +221,23 @@ def test_euclidean_partner_zero_radius(e5):
 
 def test_euclidean_partner_example3_fails(e3):
     assert euclidean_partner_bruteforce(e3, (0,), (3,), (9,)) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_chains(), st.data())
+def test_partner_bruteforce_matches_sign_loop(chain, data):
+    x, y, xp = (data.draw(members(chain)) for _ in range(3))
+    offset = [b - a for a, b in zip(x, y)]
+    hits = sorted(c for c in sign_candidates(xp, offset) if contains(chain, c))
+    assert partner_bruteforce(chain, x, y, xp) == (hits[0] if hits else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_chains(), st.data())
+def test_euclidean_partner_all_matches_signed_shell(chain, data):
+    x, y = (data.draw(members(chain, spread=0)) for _ in range(2))
+    xp = data.draw(members(chain))
+    d2 = sum((a - b) ** 2 for a, b in zip(y, x))
+    sphere = (tuple(a + b for a, b in zip(xp, v)) for v in signed_shell(chain.n, d2))
+    expected = sorted(p for p in sphere if contains(chain, p))
+    assert euclidean_partner_all(chain, x, y, xp) == expected
