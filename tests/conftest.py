@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from math import isqrt
 from typing import Iterator, Sequence
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -52,7 +55,9 @@ def random_nested_chain(rng: random.Random, nmax: int = 4, levels: int = 3) -> C
     codes = [random_linear_code(rng, n, n)]
     for _ in range(levels - 1):
         words = sorted(codes[0].words)
-        sub = span(rng.sample(words, rng.randint(0, len(words))), n=n)
+        tracker = SpanTracker(n)  # independent words only: span() caps its generator count
+        sample = rng.sample(words, rng.randint(0, len(words)))
+        sub = span([w for w in sample if tracker.add(w)], n=n)
         codes.insert(0, sub)
     return CodeChain(codes=tuple(codes))
 
@@ -212,3 +217,30 @@ def nested_basis_by_word_scan(chain: CodeChain) -> tuple[Word, ...]:
         if tracker.add(unpack(v, chain.n)):
             rows.append(unpack(v, chain.n))
     return tuple(rows)
+
+
+def nsm_oracle(chain: CodeChain, samples: int, seed: int, batch: int) -> tuple[float, float]:
+    """Slow path of nsm_estimate: one (samples, n) draw, then every sample
+    against every residue, in batches of the given size."""
+    n = chain.n
+    m = chain.modulus
+    norm = n * float(Fraction(m**n, chain.residue_count())) ** (2.0 / n)
+    coset = np.array(sorted(residues(chain).residues), dtype=np.float64)
+    draws = np.random.Generator(np.random.Philox(key=seed)).random((samples, n)) * m
+    total: list[float] = []
+    total_sq: list[float] = []
+    for i in range(0, samples, batch):
+        w = draws[i : i + batch]
+        best: np.ndarray | None = None
+        for s in coset:
+            diff = np.abs(w - s)
+            np.minimum(diff, m - diff, out=diff)
+            d2 = np.einsum("bn,bn->b", diff, diff)
+            best = d2 if best is None else np.minimum(best, d2, out=best)
+        assert best is not None
+        g = best / norm
+        total.append(float(g.sum()))
+        total_sq.append(float((g * g).sum()))
+    value = math.fsum(total) / samples
+    var = max(math.fsum(total_sq) - samples * value * value, 0.0) / (samples - 1)
+    return value, math.sqrt(var / samples)

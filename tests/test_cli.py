@@ -131,6 +131,12 @@ def test_nsm_report(capsys):
     assert report["results"]["value"] > 0
 
 
+def test_nsm_work_guard_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "nsm", "--preset", "dplus3", "--samples", "10000000000000")
+    assert code == 2 and out == ""
+    assert "nsm_estimate work" in err and "guard" in err and "Traceback" not in err
+
+
 def test_dplus_output_parses(capsys):
     code, out, _ = run_cli(capsys, "dplus", "--n", "5")
     assert code == 0

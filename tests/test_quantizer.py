@@ -2,13 +2,26 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccc.constellation import CodeChain, contains, points_in_box
 from ccc.f2 import code_from_words, span
-from ccc.quantizer import covolume, dplus_chain, nearest, nsm_estimate
+from ccc.presets import example1, example5
+from ccc.quantizer import (
+    MAX_DECODE_WORK,
+    SAMPLE_BATCH,
+    _CosetDecoder,
+    _draws,
+    covolume,
+    dplus_chain,
+    nearest,
+    nsm_estimate,
+)
 
-from conftest import random_nested_chain
+from conftest import nsm_oracle, random_nested_chain, small_chains
 
 
 def test_nearest_integer_rounding():
@@ -111,3 +124,92 @@ def test_dplus_chain_codes():
 def test_dplus_requires_n_at_least_two():
     with pytest.raises(ValueError):
         dplus_chain(1)
+
+
+def coordinates(m: int):
+    """Reals around one period, half of them on the half-integer tie grid."""
+    return st.one_of(
+        st.floats(-m, 2 * m, allow_nan=False),
+        st.integers(-2 * m, 4 * m).map(lambda k: k / 2),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_chains(), st.data())
+def test_coset_decoder_matches_nearest(chain, data):
+    m = chain.modulus
+    w = data.draw(st.lists(coordinates(m), min_size=chain.n, max_size=chain.n))
+    d2 = _CosetDecoder.of(chain).distances(np.mod(np.array([w]), m))[0]
+    assert math.isclose(d2, sum((a - b) ** 2 for a, b in zip(w, nearest(chain, w))), abs_tol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_chains(), st.integers(1000, 3 * SAMPLE_BATCH // 2), st.integers(0, 2**32))
+def test_nsm_matches_per_residue_oracle(chain, samples, seed):
+    est = nsm_estimate(chain, samples, seed)
+    assert (est.value, est.stderr) == nsm_oracle(chain, samples, seed, SAMPLE_BATCH)
+
+
+EVEN5 = span([(1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 1, 1)])
+EVEN6 = span([(1, 1, 0, 0, 0, 0), (0, 1, 1, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 1, 1, 0), (0, 0, 0, 0, 1, 1)])
+FULL4 = span([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+ONES6 = (1,) * 6
+BRANCH_CHAINS = {  # (decoded by Wagner's rule, chain)
+    "even-weight-L1": (True, CodeChain.of(EVEN5)),
+    "even-weight-L3": (True, example5()),
+    "even-weight-L3-nested": (True, CodeChain.of(
+        span([ONES6]), span([ONES6, (1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0)]), EVEN6)),
+    "one-word-top": (False, example1()),
+    "full-space": (False, CodeChain.of(span([(1, 1, 0, 0)]), FULL4)),
+    "non-linear": (False, CodeChain.of(span([(1, 1, 1, 1, 1)]), code_from_words(
+        [(1, 0, 1, 1, 0), (0, 1, 1, 0, 1), (1, 1, 0, 1, 1), (0, 0, 1, 1, 1)]))),
+    # the 21 words of weight one or two: more than one score block per full batch
+    "non-linear-blocks": (False, CodeChain.of(span([ONES6]), code_from_words(
+        [tuple(int(j in (a, b)) for j in range(6)) for a in range(6) for b in range(a, 7)]))),
+}
+
+
+@pytest.mark.parametrize("wagner,chain", BRANCH_CHAINS.values(), ids=BRANCH_CHAINS.keys())
+def test_nsm_branches_match_per_residue_oracle(wagner, chain):
+    assert (_CosetDecoder.of(chain).top is None) == wagner
+    samples = 2 * SAMPLE_BATCH + 777
+    est = nsm_estimate(chain, samples, seed=77, threads=2)
+    assert (est.value, est.stderr) == nsm_oracle(chain, samples, 77, SAMPLE_BATCH)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_batch_draws_equal_one_shot_stream(n):
+    samples = 3 * SAMPLE_BATCH + 1001
+    one_shot = np.random.Generator(np.random.Philox(key=12345)).random((samples, n))
+    batches = [
+        _draws(12345, start, min(start + SAMPLE_BATCH, samples), n)
+        for start in range(0, samples, SAMPLE_BATCH)
+    ]
+    assert np.array_equal(np.concatenate(batches), one_shot)
+
+
+def test_nsm_work_guard():
+    with pytest.raises(ValueError, match=r"nsm_estimate work \d+ .*guard of"):
+        nsm_estimate(dplus_chain(3), 10**13, seed=0)
+
+
+def work(chain: CodeChain, samples: int) -> int:
+    return _CosetDecoder.of(chain).work(samples)
+
+
+def test_work_guard_admits_existing_callers():
+    cube = CodeChain.of(code_from_words([(0, 0, 0, 0)]), code_from_words([(0, 0, 0, 0)]))
+    assert work(cube, 1_000_000) <= MAX_DECODE_WORK  # criterion 9
+    cube4 = CodeChain.of(*[code_from_words([(0, 0, 0, 0)])] * 3)
+    assert work(cube4, 300_000) <= MAX_DECODE_WORK  # benchmark items
+    assert work(dplus_chain(7), 1_000_000) <= MAX_DECODE_WORK
+    for n in range(2, 17):  # dplus_scan defaults, and the scan extended to n = 16
+        assert work(dplus_chain(n), 200_000) <= MAX_DECODE_WORK
+    assert work(dplus_chain(9), 100_000) <= MAX_DECODE_WORK
+
+
+def test_work_guard_admits_full_space_search():
+    # Z^10 as one level of all 1,024 words, at the CLI's default sample count
+    z10 = CodeChain.of(span([tuple(int(i == j) for j in range(10)) for i in range(10)]))
+    assert _CosetDecoder.of(z10).top is not None
+    assert work(z10, 100_000) == 100_000 * 10 * 1024 <= MAX_DECODE_WORK
