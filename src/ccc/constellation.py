@@ -12,10 +12,12 @@ residue set, so nothing here uses floating point.
 from __future__ import annotations
 
 import itertools
+import threading
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import prod
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .f2 import BinaryCode, Word, is_linear, is_nested
 
@@ -68,7 +70,12 @@ class CodeChain:
 
 @dataclass(frozen=True)
 class ResidueSet:
-    """The finite image of a constellation modulo its period."""
+    """The finite image of a constellation modulo its period.
+
+    The arithmetic mod the period that the lattice, symmetry and spectrum
+    questions run on residues lives here: sums (closure), signed
+    permutations (symmetry) and folded differences (spectrum classes).
+    """
 
     n: int
     modulus: int
@@ -86,6 +93,72 @@ class ResidueSet:
 
     def __iter__(self):
         return iter(self.sorted)
+
+    def closed_under(self, translations: Iterable[Sequence[int]]) -> bool:
+        """Whether R + g stays inside R for every translation g."""
+        m, members = self.modulus, self.residues
+        sums = (tuple((x + y) % m for x, y in zip(s, g)) for g in translations for s in members)
+        return all(p in members for p in sums)
+
+    def first_pair_outside(self) -> tuple[Point, Point] | None:
+        """The lexicographically first residue pair whose sum is not a residue."""
+        m, order, members = self.modulus, self.sorted, self.residues
+        for s in order:
+            for t in order:
+                if tuple((x + y) % m for x, y in zip(s, t)) not in members:
+                    return s, t
+        return None
+
+    def maps_onto(self, x: Sequence[int], perm: Sequence[int], signs: Sequence[int]) -> bool:
+        """Whether p -> signs * (p - x)[perm] mod m maps the residue set onto itself.
+
+        The map is a bijection of (Z/m)^n, so the image of the residues has
+        |R| points and equals the set exactly when every image point is a
+        residue; the scan stops at the first that is not.
+        """
+        m, members = self.modulus, self.residues
+        return all(
+            tuple((s * (p[k] - x[k])) % m for s, k in zip(signs, perm)) in members
+            for p in members
+        )
+
+    def folded_key(self, s: Point, c: Sequence[int]) -> tuple[int, ...]:
+        """The sorted coordinate distances of s - c to the nearest multiple of m."""
+        m = self.modulus
+        return tuple(sorted(min((a - b) % m, (b - a) % m) for a, b in zip(s, c)))
+
+    def key_counts(self, c: Sequence[int]) -> Counter[tuple[int, ...]]:
+        """The multiset of folded keys of every residue against the center c."""
+        key = self.folded_key
+        return Counter(key(s, c) for s in self.sorted)
+
+    @cached_property
+    def _class_scan(self) -> tuple[list[Point], set[frozenset], Iterator[Point], threading.Lock]:
+        # representatives found so far, their signatures, residues not yet read
+        return [], set(), iter(self.sorted), threading.Lock()
+
+    def class_representatives(self) -> Iterator[Point]:
+        """The lexicographically first residue of each spectrum class, in order.
+
+        A class is the set of residues whose folded key multisets agree.
+        The scan is shared by every caller on this residue set and advances
+        only as far as some caller has read, so a caller that stops early
+        leaves the rest unread.
+        """
+        reps, seen, pending, lock = self._class_scan
+        i = 0
+        while True:
+            with lock:
+                while i == len(reps):
+                    c = next(pending, None)
+                    if c is None:
+                        return
+                    sig = frozenset(self.key_counts(c).items())
+                    if sig not in seen:
+                        seen.add(sig)
+                        reps.append(c)
+            yield reps[i]
+            i += 1
 
 
 @lru_cache(maxsize=32)

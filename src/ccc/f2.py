@@ -103,8 +103,7 @@ class BinaryCode:
     def __post_init__(self):
         if not isinstance(self.words, frozenset):
             object.__setattr__(self, "words", frozenset(self.words))
-        if self.n < 1 or self.n > MAX_WORD_LEN:
-            raise ValueError(f"code length must be in 1..{MAX_WORD_LEN}, got {self.n}")
+        _check_length(self.n)
         if not self.words:
             raise ValueError("a code must contain at least one word")
         if len(self.words) > MAX_CODE_SIZE:
@@ -142,6 +141,7 @@ def span(generators: Iterable[Iterable[int]], n: int | None = None) -> BinaryCod
     if not gens:
         if n is None:
             raise ValueError("an empty generator list needs an explicit length")
+        _check_length(n)  # before zero_word(n) allocates n entries
         return BinaryCode(n=n, words=frozenset({zero_word(n)}))
     if len(gens) > MAX_SPAN_GENERATORS:
         raise ValueError(f"{len(gens)} generators exceed the guard of {MAX_SPAN_GENERATORS}")
@@ -213,6 +213,11 @@ def _span_set(gens: Sequence[Word], n: int) -> frozenset[Word]:
         gv = pack(g)
         vals |= {v ^ gv for v in vals}
     return frozenset(unpack(v, n) for v in vals)
+
+
+def _check_length(n: int) -> None:
+    if n < 1 or n > MAX_WORD_LEN:
+        raise ValueError(f"code length must be in 1..{MAX_WORD_LEN}, got {n}")
 
 
 def _check_word(w: Sequence[int]) -> None:

@@ -236,20 +236,15 @@ def is_lattice_direct(chain: CodeChain, find_witness: bool = True) -> tuple[bool
     sum leaves R.
     """
     rs = residues(chain)
-    m = chain.modulus
-    members = rs.residues
     scaled = (
         tuple(b << level for b in w)
         for level, code in enumerate(chain.codes)
         for w in code.sorted_words()
     )
-    closed = all(_add_mod(s, g, m) in members for g in scaled for s in members)
+    closed = rs.closed_under(scaled)
     if closed or not find_witness:
         return closed, None
-    order = rs.sorted
-    witness = next(
-        ((s, t) for s in order for t in order if _add_mod(s, t, m) not in members), None
-    )
+    witness = rs.first_pair_outside()
     if witness is None:
         raise RuntimeError("closure failed but no witness pair exists")
     return False, witness
@@ -320,7 +315,3 @@ def _require_nested_linear(chain: CodeChain) -> None:
 
 def _unit_scaled(n: int, m: int) -> list[Point]:
     return [tuple(m if j == i else 0 for j in range(n)) for i in range(n)]
-
-
-def _add_mod(a: Point, b: Point, m: int) -> Point:
-    return tuple((x + y) % m for x, y in zip(a, b))

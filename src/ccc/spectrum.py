@@ -12,6 +12,11 @@ every radius.  The residues therefore fall into spectrum classes, and the
 whole-constellation questions (equal spectra, kissing numbers) need one
 ``spectrum_at`` call per class, made at the class's lexicographically first
 residue.
+
+The folded keys and the class scan are methods of ``ResidueSet``.  The scan is
+lazy and memoized on its residue set, so it runs at most once per residue set,
+whichever of ``eds_check``, ``kissing_stats`` or the isometry search asks
+first; this module keeps the work guards and builds the tables.
 """
 
 from __future__ import annotations
@@ -57,12 +62,9 @@ def spectrum_at(chain: CodeChain, c: Sequence[int], r2max: int) -> SpectrumTable
     if r2max < 1:
         raise ValueError("r2max must be at least 1")
     rs = residues(chain)
-    m = chain.modulus
     if (r2max + 1) * len(rs) > MAX_SPECTRUM_WORK:
         raise ValueError("spectrum enumeration exceeds the work guard")
-    c_red = tuple(x % m for x in c)
-    keys = Counter(_folded_key(s, c_red, m) for s in rs)
-    counts = _table_from_keys(m, keys, r2max)
+    counts = _table_from_keys(chain.modulus, rs.key_counts(c), r2max)
     return SpectrumTable(center=tuple(c), r2max=r2max, counts=counts)
 
 
@@ -159,26 +161,11 @@ def _key_table(m: int, key: tuple[int, ...], r2max: int) -> tuple[tuple[int, int
 
 
 def _class_representatives(chain: CodeChain) -> Iterator[Point]:
-    """The lexicographically first residue of each spectrum class, in order.
-
-    A class is the set of residues whose folded keys agree as a multiset.
-    Classes are found lazily, so a caller that stops early skips the rest.
-    """
+    """The residue set's spectrum-class representatives, behind the |R|^2 work guard."""
     rs = residues(chain)
-    m = chain.modulus
     if len(rs) ** 2 > MAX_SPECTRUM_WORK:
         raise ValueError("spectrum comparison exceeds the work guard")
-    order = rs.sorted
-    seen: set[frozenset[tuple[tuple[int, ...], int]]] = set()
-    for c in order:
-        sig = frozenset(Counter(_folded_key(s, c, m) for s in order).items())
-        if sig not in seen:
-            seen.add(sig)
-            yield c
-
-
-def _folded_key(s: Point, c: Point, m: int) -> tuple[int, ...]:
-    return tuple(sorted(min((a - b) % m, (b - a) % m) for a, b in zip(s, c)))
+    return rs.class_representatives()
 
 
 def _table_from_keys(m: int, keys: dict[tuple[int, ...], int], r2max: int) -> dict[int, int]:

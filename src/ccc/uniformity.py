@@ -21,7 +21,7 @@ from itertools import permutations, product
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .constellation import CodeChain, Point, ResidueSet, contains, cw_members, decompose, residues
+from .constellation import CodeChain, Point, contains, cw_members, decompose, residues
 from .spectrum import EdsWitness, cw_equidistant, eds_check
 
 MAX_SEARCH_DIMENSION = 6  # the signed-permutation search scans 2^n * n! candidates
@@ -81,31 +81,14 @@ def gu_check_two_level(chain: CodeChain) -> GuTwoLevelResult:
     if not chain.all_linear():
         raise ValueError("the reflection certificate requires linear codes")
     rs = residues(chain)
-    m = chain.modulus
     identity = tuple(range(chain.n))
     certs: list[GuCertificate] = []
     for x in rs.sorted:
         t = reflection_for(chain, x)
-        if not _maps_onto(rs, x, identity, t.signs, m):
+        if not rs.maps_onto(x, identity, t.signs):
             return GuTwoLevelResult(uniform=False, certificates=tuple(certs), failing=x)
         certs.append(GuCertificate(x=x, signs=t.signs))
     return GuTwoLevelResult(uniform=True, certificates=tuple(certs), failing=None)
-
-
-def _maps_onto(
-    rs: ResidueSet, x: Point, perm: Sequence[int], signs: Sequence[int], m: int
-) -> bool:
-    """Whether p -> signs * (p - x)[perm] mod m maps the residue set onto itself.
-
-    The map is a bijection of (Z/m)^n, so the image of the residues has
-    |rs| points and equals the set exactly when every image point is a
-    residue; the scan stops at the first that is not.
-    """
-    members = rs.residues
-    return all(
-        tuple((s * (p[k] - x[k])) % m for s, k in zip(signs, perm)) in members
-        for p in members
-    )
 
 
 @dataclass(frozen=True)
@@ -152,13 +135,12 @@ def gu_subgroup_search(chain: CodeChain, r2max: int | None = None) -> GuSearchRe
             f"isometry search is guarded to n <= {MAX_SEARCH_DIMENSION}, got {chain.n}"
         )
     rs = residues(chain)
-    m = chain.modulus
     found: list[IsometryCandidate] = []
     for x in rs.sorted:
         hit: IsometryCandidate | None = None
         for perm in permutations(range(chain.n)):
             for signs in product((1, -1), repeat=chain.n):
-                if _maps_onto(rs, x, perm, signs, m):
+                if rs.maps_onto(x, perm, signs):
                     translation = tuple(-s * x[k] for s, k in zip(signs, perm))
                     hit = IsometryCandidate(permutation=perm, signs=signs, translation=translation)
                     break

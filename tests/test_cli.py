@@ -151,6 +151,13 @@ def test_presets_listing(capsys):
         assert name in out
 
 
+def test_huge_length_is_input_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("n 1000000000000\nL 1\ncode 1 generator\n"))
+    code, out, err = run_cli(capsys, "info", "-")
+    assert code == 2 and out == ""
+    assert err == "error: code length must be in 1..24, got 1000000000000\n"
+
+
 def test_chain_file_and_stdin(capsys, tmp_path, monkeypatch):
     text = "n 1\nL 3\ncode 1 explicit\n0\n1\ncode 2 explicit\n0\n1\ncode 3 explicit\n0\n"
     path = tmp_path / "chain.txt"

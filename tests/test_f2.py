@@ -79,6 +79,11 @@ def test_span_requires_length_for_empty():
         span([])
 
 
+def test_span_checks_length_before_allocating():
+    with pytest.raises(ValueError, match=r"code length must be in 1\.\.24, got 1000000000000"):
+        span([], n=10**12)
+
+
 def test_span_generator_guard():
     with pytest.raises(ValueError):
         span([(1, 0)] * 21)

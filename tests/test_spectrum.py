@@ -1,13 +1,18 @@
+import gc
 import random
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccc.constellation import CodeChain, contains
+from ccc.constellation import CodeChain, ResidueSet, contains, residues
 from ccc.f2 import code_from_words, span
 from ccc.quantizer import dplus_chain
 from ccc.spectrum import cw_count, cw_equidistant, eds_check, kissing_stats, spectrum_at
+from ccc.uniformity import gu_subgroup_search
 
 from conftest import (
     brute_spectrum,
@@ -153,8 +158,109 @@ def _outcome(fn, *args):
 def test_spectrum_classes_match_per_residue_oracles(chain, data):
     m2 = chain.modulus ** 2
     r2max = data.draw(st.integers(1, 2 * m2), label="r2max")
-    assert _outcome(eds_check, chain, r2max) == _outcome(eds_oracle, chain, r2max)
-    assert kissing_stats(chain) == kissing_oracle(chain)
+    eds = _outcome(eds_oracle, chain, r2max)
+    kissing = kissing_oracle(chain)
+    # the class scan is shared, so either call may be the one that runs it
+    residues.cache_clear()
+    assert _outcome(eds_check, chain, r2max) == eds
+    assert kissing_stats(chain) == kissing
+    residues.cache_clear()
+    assert kissing_stats(chain) == kissing
+    assert _outcome(eds_check, chain, r2max) == eds
+
+
+def full_space(n: int):
+    return span([tuple(int(i == j) for j in range(n)) for i in range(n)])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: eds_check(CodeChain.of(full_space(14)), 4), "spectrum comparison exceeds the work guard"),
+        (lambda: eds_check(dplus_chain(3), 10**8), "spectrum enumeration exceeds the work guard"),
+        (
+            lambda: kissing_stats(CodeChain.of(span([(1,)]), *[span([], n=1)] * 13)),
+            "spectrum enumeration exceeds the work guard",
+        ),
+    ],
+    ids=["classes-full14", "radius-dplus3", "kissing-L14"],
+)
+def test_spectrum_work_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def count_folded_keys(monkeypatch) -> list[int]:
+    calls = [0]
+    original = ResidueSet.folded_key
+
+    def spy(self, s, c):
+        calls[0] += 1
+        return original(self, s, c)
+
+    monkeypatch.setattr(ResidueSet, "folded_key", spy)
+    return calls
+
+
+def test_class_scan_runs_once_per_residue_set(monkeypatch):
+    chain = dplus_chain(4)  # 16 residues, one spectrum class
+    calls = count_folded_keys(monkeypatch)
+    for _ in range(2):
+        residues.cache_clear()
+        calls[0] = 0
+        assert eds_check(chain, 16) == (True, None)
+        kissing_stats(chain)
+        assert gu_subgroup_search(chain).verdict == "certified"
+        # one scan of 16 x 16 keys, then 16 keys for each of three spectrum_at calls
+        assert calls[0] == 16 * 16 + 3 * 16
+
+
+def test_class_scan_stops_at_the_second_class(monkeypatch):
+    even = span([(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)])
+    chain = CodeChain.of(even, even, even, even)  # 4096 residues, refuted
+    residues.cache_clear()
+    calls = count_folded_keys(monkeypatch)
+    equal, _ = eds_check(chain, 256)
+    assert not equal
+    assert calls[0] <= 4 * 4096
+
+
+def test_residue_set_dies_with_the_cache(e3):
+    refuted = e3  # the scan stops early and leaves residues unread
+    scanned = dplus_chain(4)
+    enabled = gc.isenabled()
+    gc.disable()  # a reference cycle would keep the set alive until a collection
+    try:
+        residues.cache_clear()
+        assert not eds_check(refuted, 4)[0]
+        kissing_stats(scanned)
+        refs = [weakref.ref(residues(refuted)), weakref.ref(residues(scanned))]
+        residues.cache_clear()
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_class_scan_shared_between_threads():
+    rng = random.Random(7)
+    words = [[tuple(rng.randint(0, 1) for _ in range(5)) for _ in range(k)] for k in (6, 5, 4)]
+    chain = CodeChain(codes=tuple(code_from_words(w) for w in words))
+    residues.cache_clear()
+    expected = list(residues(chain).class_representatives())
+    assert len(expected) > 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            residues.cache_clear()
+            rs = residues(chain)
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(lambda: list(rs.class_representatives())) for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+            assert results == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_eds_rejects_nonpositive_radius(e1):
