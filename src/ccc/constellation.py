@@ -14,12 +14,12 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .f2 import BinaryCode, Word, is_linear, is_nested
+from .f2 import BinaryCode, Word, echelon_basis, is_linear, is_nested
 
 Point = tuple[int, ...]
 
@@ -68,6 +68,14 @@ class CodeChain:
         return all(is_nested(a, b) for a, b in zip(self.codes, self.codes[1:]))
 
 
+class PeriodCosets(NamedTuple):
+    """A verified subgroup H of a residue set's period group, and the set split into its cosets."""
+
+    group: frozenset[Point]
+    representatives: tuple[Point, ...]  # the first residue of each coset, in sorted order
+    representative_of: dict[Point, Point]
+
+
 @dataclass(frozen=True)
 class ResidueSet:
     """The finite image of a constellation modulo its period.
@@ -75,11 +83,24 @@ class ResidueSet:
     The arithmetic mod the period that the lattice, symmetry and spectrum
     questions run on residues lives here: sums (closure), signed
     permutations (symmetry) and folded differences (spectrum classes).
+
+    Those questions are asked point by point, and each answer is the same at
+    x and x + t whenever R + t = R, because then R - t = R too.  The
+    translations t with R + t = R form a group G, the period group of R
+    modulo m (Forney's translation group of a geometrically uniform code).
+    ``period_cosets`` holds a subgroup H of G: the group generated by the
+    ``candidates`` that pass ``closed_under([g])`` one by one.  No candidate
+    is trusted unchecked (a scaled codeword need not fix R, because integer
+    addition carries into the next level), and sums of translations that fix
+    R fix R, so every element of H is in G; a set where no candidate passes
+    gets H = {0}.  Any verified subgroup is sound for the coset arguments of
+    the methods below; a larger H only means fewer cosets to visit.
     """
 
     n: int
     modulus: int
     residues: frozenset[Point]
+    candidates: tuple[Point, ...] = field(default=(), compare=False, repr=False)
 
     @cached_property
     def sorted(self) -> tuple[Point, ...]:
@@ -100,9 +121,37 @@ class ResidueSet:
         sums = (tuple((x + y) % m for x, y in zip(s, g)) for g in translations for s in members)
         return all(p in members for p in sums)
 
+    @cached_property
+    def period_cosets(self) -> PeriodCosets:
+        """H, and R as a union of cosets x + H (R + H = R)."""
+        m, zero = self.modulus, (0,) * self.n
+        group, members = [zero], {zero}
+        for g in self.candidates:
+            if g in members or not self.closed_under([g]):
+                continue
+            block = group  # the cosets H + k*g are new until k*g falls in H
+            while True:
+                block = [tuple((a + b) % m for a, b in zip(p, g)) for p in block]
+                if block[0] in members:
+                    break
+                group += block
+                members.update(block)
+        rep_of: dict[Point, Point] = {}
+        reps: list[Point] = []
+        for x in self.sorted:
+            if x not in rep_of:
+                reps.append(x)
+                for h in group:
+                    rep_of[tuple((a + b) % m for a, b in zip(x, h))] = x
+        return PeriodCosets(frozenset(members), tuple(reps), rep_of)
+
     def first_pair_outside(self) -> tuple[Point, Point] | None:
-        """The lexicographically first residue pair whose sum is not a residue."""
-        m, order, members = self.modulus, self.sorted, self.residues
+        """The lexicographically first residue pair whose sum is not a residue.
+
+        Whether s + t is a residue is constant on the cosets of s and of t,
+        so the first failing pair is a pair of coset representatives.
+        """
+        m, order, members = self.modulus, self.period_cosets.representatives, self.residues
         for s in order:
             for t in order:
                 if tuple((x + y) % m for x, y in zip(s, t)) not in members:
@@ -127,25 +176,40 @@ class ResidueSet:
         m = self.modulus
         return tuple(sorted(min((a - b) % m, (b - a) % m) for a, b in zip(s, c)))
 
-    def key_counts(self, c: Sequence[int]) -> Counter[tuple[int, ...]]:
-        """The multiset of folded keys of every residue against the center c."""
+    def key_counts(self, c: Sequence[int]) -> frozenset[tuple[tuple[int, ...], int]]:
+        """The folded keys of every residue against the center c, with multiplicities.
+
+        At a spectrum-class representative that the class scan has read, the
+        scan's copy is returned instead of computing |R| keys again.
+        """
+        known = self._class_keys.get(tuple(x % self.modulus for x in c))
+        if known is not None:
+            return known
         key = self.folded_key
-        return Counter(key(s, c) for s in self.sorted)
+        return frozenset(Counter(key(s, c) for s in self.sorted).items())
+
+    @cached_property
+    def _class_keys(self) -> dict[Point, frozenset]:
+        # the key multiset of each class representative the scan has found
+        return {}
 
     @cached_property
     def _class_scan(self) -> tuple[list[Point], set[frozenset], Iterator[Point], threading.Lock]:
-        # representatives found so far, their signatures, residues not yet read
-        return [], set(), iter(self.sorted), threading.Lock()
+        # representatives found so far, their signatures, coset representatives not yet read
+        return [], set(), iter(self.period_cosets.representatives), threading.Lock()
 
     def class_representatives(self) -> Iterator[Point]:
         """The lexicographically first residue of each spectrum class, in order.
 
-        A class is the set of residues whose folded key multisets agree.
-        The scan is shared by every caller on this residue set and advances
-        only as far as some caller has read, so a caller that stops early
-        leaves the rest unread.
+        A class is the set of residues whose folded key multisets agree.  The
+        multiset is the same at x and x + h for h in H, so a class is a union
+        of cosets of H, its first residue is a coset representative, and only
+        the representatives are read.  The scan is shared by every caller on
+        this residue set and advances only as far as some caller has read, so
+        a caller that stops early leaves the rest unread.
         """
         reps, seen, pending, lock = self._class_scan
+        keys = self._class_keys
         i = 0
         while True:
             with lock:
@@ -153,9 +217,10 @@ class ResidueSet:
                     c = next(pending, None)
                     if c is None:
                         return
-                    sig = frozenset(self.key_counts(c).items())
+                    sig = self.key_counts(c)
                     if sig not in seen:
                         seen.add(sig)
+                        keys[c] = sig
                         reps.append(c)
             yield reps[i]
             i += 1
@@ -177,7 +242,12 @@ def residues(chain: CodeChain) -> ResidueSet:
     if len(pts) != count:
         # the digit map is injective into [0, 2^L)^n; a clash means corrupted input
         raise RuntimeError("residue enumeration lost points")
-    return ResidueSet(n=n, modulus=chain.modulus, residues=pts)
+    candidates = tuple(
+        tuple(b << level for b in w)
+        for level, code in enumerate(chain.codes)
+        for w in echelon_basis(code)
+    )
+    return ResidueSet(n=n, modulus=chain.modulus, residues=pts, candidates=candidates)
 
 
 def contains(chain: CodeChain, p: Sequence[int]) -> bool:

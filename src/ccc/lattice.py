@@ -231,17 +231,26 @@ def is_lattice_direct(chain: CodeChain, find_witness: bool = True) -> tuple[bool
       codeword 2^i * c is itself a residue; closure keeps each translate
       in R.
 
-    Only when the verdict is False and a witness is requested are the |R|^2
-    residue pairs scanned, in lexicographic order, for the first pair whose
-    sum leaves R.
+    Translations by the residue set's period subgroup H are skipped: every
+    h in H satisfies R + h = R (each generator of H was checked one by one,
+    and the check is closed under sums), so a scaled codeword in H passes
+    the test without being run, and the test stays complete.  The loop runs
+    the remaining scaled codewords in the same order, so it never makes
+    more translations than translating by all of them; on a lattice, H is
+    all of R and no scaled codeword is left.
+
+    Only when the verdict is False and a witness is requested are residue
+    pairs scanned, one pair of coset representatives of H at a time, in
+    lexicographic order, for the first pair whose sum leaves R.
     """
     rs = residues(chain)
+    period = rs.period_cosets.group
     scaled = (
         tuple(b << level for b in w)
         for level, code in enumerate(chain.codes)
         for w in code.sorted_words()
     )
-    closed = rs.closed_under(scaled)
+    closed = rs.closed_under(g for g in scaled if g not in period)
     if closed or not find_witness:
         return closed, None
     witness = rs.first_pair_outside()

@@ -11,12 +11,17 @@ Two centers whose folded keys agree as multisets have identical spectra at
 every radius.  The residues therefore fall into spectrum classes, and the
 whole-constellation questions (equal spectra, kissing numbers) need one
 ``spectrum_at`` call per class, made at the class's lexicographically first
-residue.
+residue.  Translating the center by a period h of the residue set (R + h = R)
+permutes the residues it is measured against, so each class is a union of
+cosets of the residue set's period subgroup H, and the scan reads one
+coset representative per coset: |R/H| * |R| folded keys, not |R|^2.
 
 The folded keys and the class scan are methods of ``ResidueSet``.  The scan is
 lazy and memoized on its residue set, so it runs at most once per residue set,
 whichever of ``eds_check``, ``kissing_stats`` or the isometry search asks
-first; this module keeps the work guards and builds the tables.
+first, and it keeps each class representative's key multiset, which
+``spectrum_at`` at that representative reads instead of recomputing; this
+module keeps the work guards and builds the tables.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .constellation import CodeChain, Point, contains, cw_members, residues
 
@@ -168,9 +173,9 @@ def _class_representatives(chain: CodeChain) -> Iterator[Point]:
     return rs.class_representatives()
 
 
-def _table_from_keys(m: int, keys: dict[tuple[int, ...], int], r2max: int) -> dict[int, int]:
+def _table_from_keys(m: int, keys: Iterable[tuple[tuple[int, ...], int]], r2max: int) -> dict[int, int]:
     totals: Counter[int] = Counter()
-    for key, mult in keys.items():
+    for key, mult in keys:
         for d2, cnt in _key_table(m, key, r2max):
             totals[d2] += mult * cnt
     totals.pop(0, None)  # drop the center itself

@@ -21,7 +21,7 @@ from itertools import permutations, product
 from math import isqrt
 from typing import Iterable, Sequence
 
-from .constellation import CodeChain, Point, contains, cw_members, decompose, residues
+from .constellation import CodeChain, Point, ResidueSet, contains, cw_members, decompose, residues
 from .spectrum import EdsWitness, cw_equidistant, eds_check
 
 MAX_SEARCH_DIMENSION = 6  # the signed-permutation search scans 2^n * n! candidates
@@ -75,19 +75,34 @@ def gu_check_two_level(chain: CodeChain) -> GuTwoLevelResult:
     {T_x(s - x) mod 4 : s residue} == residues, which is sound because T_x
     maps 4*Z^n to itself.  T_x is a signed permutation with the identity
     permutation, so the test is the one the isometry search runs.
+
+    The check runs once per coset of H ∩ 2Z^n, where H is the residue set's
+    period subgroup.  A period h of R leaves the image set unchanged
+    (R - h = R), but T_x is read off x's level-1 digit, x mod 2, so only an
+    even h keeps T_x too.  Two residues share a coset of H ∩ 2Z^n exactly
+    when they share a coset of H and agree mod 2.  Every member of a coset
+    gets the reflection and the verdict of its first residue in sorted
+    order, so the first failing residue is the one a per-residue loop would
+    report.
     """
     if chain.L != 2:
         raise ValueError("the reflection certificate requires exactly two levels")
     if not chain.all_linear():
         raise ValueError("the reflection certificate requires linear codes")
     rs = residues(chain)
+    rep_of = rs.period_cosets.representative_of
     identity = tuple(range(chain.n))
     certs: list[GuCertificate] = []
+    checked: dict[tuple[Point, Point], tuple[tuple[int, ...], bool]] = {}
     for x in rs.sorted:
-        t = reflection_for(chain, x)
-        if not rs.maps_onto(x, identity, t.signs):
+        coset = (rep_of[x], tuple(v & 1 for v in x))
+        if coset not in checked:  # x is the first residue of its coset
+            signs = reflection_for(chain, x).signs
+            checked[coset] = signs, rs.maps_onto(x, identity, signs)
+        signs, ok = checked[coset]
+        if not ok:
             return GuTwoLevelResult(uniform=False, certificates=tuple(certs), failing=x)
-        certs.append(GuCertificate(x=x, signs=t.signs))
+        certs.append(GuCertificate(x=x, signs=signs))
     return GuTwoLevelResult(uniform=True, certificates=tuple(certs), failing=None)
 
 
@@ -122,6 +137,11 @@ def gu_subgroup_search(chain: CodeChain, r2max: int | None = None) -> GuSearchRe
     onto itself; success for all residues certifies uniformity.  A failed
     search is reported as inconclusive because isometries outside this
     subgroup remain possible.
+
+    The search runs once per coset of the residue set's period subgroup H:
+    for h in H the map at x + h fixes R exactly when the map at x does,
+    because R - h = R, so every member of a coset reuses the first hit of
+    its first residue in sorted order, with its own translation.
     """
     if r2max is None:
         r2max = default_eds_radius(chain)
@@ -135,25 +155,33 @@ def gu_subgroup_search(chain: CodeChain, r2max: int | None = None) -> GuSearchRe
             f"isometry search is guarded to n <= {MAX_SEARCH_DIMENSION}, got {chain.n}"
         )
     rs = residues(chain)
+    rep_of = rs.period_cosets.representative_of
+    first_hit: dict[Point, tuple[tuple[int, ...], tuple[int, ...]] | None] = {}
     found: list[IsometryCandidate] = []
     for x in rs.sorted:
-        hit: IsometryCandidate | None = None
-        for perm in permutations(range(chain.n)):
-            for signs in product((1, -1), repeat=chain.n):
-                if rs.maps_onto(x, perm, signs):
-                    translation = tuple(-s * x[k] for s, k in zip(signs, perm))
-                    hit = IsometryCandidate(permutation=perm, signs=signs, translation=translation)
-                    break
-            if hit is not None:
-                break
+        rep = rep_of[x]
+        if rep not in first_hit:  # x is the first residue of its coset
+            first_hit[rep] = _first_symmetry(rs, x)
+        hit = first_hit[rep]
         if hit is None:
             return GuSearchResult(
                 verdict="inconclusive", eds_witness=None, isometries=tuple(found), unresolved=x
             )
-        found.append(hit)
+        perm, signs = hit
+        translation = tuple(-s * x[k] for s, k in zip(signs, perm))
+        found.append(IsometryCandidate(permutation=perm, signs=signs, translation=translation))
     return GuSearchResult(
         verdict="certified", eds_witness=None, isometries=tuple(found), unresolved=None
     )
+
+
+def _first_symmetry(rs: ResidueSet, x: Point) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
+    """The first (perm, signs), in the fixed search order, whose map at x fixes the residues."""
+    for perm in permutations(range(rs.n)):
+        for signs in product((1, -1), repeat=rs.n):
+            if rs.maps_onto(x, perm, signs):
+                return perm, signs
+    return None
 
 
 def default_eds_radius(chain: CodeChain) -> int:

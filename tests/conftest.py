@@ -6,7 +6,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 from math import isqrt
 from typing import Iterator, Sequence
 
@@ -18,6 +18,14 @@ from ccc.constellation import CodeChain, Point, points_in_box, residues
 from ccc.f2 import BinaryCode, SpanTracker, Word, code_from_words, span, unpack
 from ccc.presets import example1, example3, example5
 from ccc.spectrum import EdsWitness, spectrum_at
+from ccc.uniformity import (
+    GuCertificate,
+    GuSearchResult,
+    GuTwoLevelResult,
+    IsometryCandidate,
+    default_eds_radius,
+    reflection_for,
+)
 
 
 @pytest.fixture
@@ -167,6 +175,74 @@ def first_failing_pair(chain: CodeChain) -> tuple[Point, Point] | None:
             if tuple((a + b) % m for a, b in zip(s, t)) not in rs:
                 return s, t
     return None
+
+
+def closure_oracle(chain: CodeChain) -> bool:
+    """Slow path of the closure verdict: translate R by every scaled codeword."""
+    rs = residues(chain)
+    m = chain.modulus
+    return all(
+        tuple((a + (b << level)) % m for a, b in zip(s, w)) in rs
+        for level, code in enumerate(chain.codes)
+        for w in code.sorted_words()
+        for s in rs.sorted
+    )
+
+
+def class_scan_oracle(chain: CodeChain) -> list[Point]:
+    """Slow path of the class scan: the key multiset of every residue, in sorted order."""
+    rs = residues(chain)
+    m = chain.modulus
+    seen: set[frozenset] = set()
+    reps: list[Point] = []
+    for c in rs.sorted:
+        keys = Counter(
+            tuple(sorted(min((a - b) % m, (b - a) % m) for a, b in zip(s, c))) for s in rs.sorted
+        )
+        sig = frozenset(keys.items())
+        if sig not in seen:
+            seen.add(sig)
+            reps.append(c)
+    return reps
+
+
+def gu_two_level_oracle(chain: CodeChain) -> GuTwoLevelResult:
+    """Slow path of gu_check_two_level on a two-level linear chain: the
+    reflection check at every residue."""
+    rs = residues(chain)
+    identity = tuple(range(chain.n))
+    certs: list[GuCertificate] = []
+    for x in rs.sorted:
+        signs = reflection_for(chain, x).signs
+        if not rs.maps_onto(x, identity, signs):
+            return GuTwoLevelResult(uniform=False, certificates=tuple(certs), failing=x)
+        certs.append(GuCertificate(x=x, signs=signs))
+    return GuTwoLevelResult(uniform=True, certificates=tuple(certs), failing=None)
+
+
+def gu_search_oracle(chain: CodeChain) -> GuSearchResult:
+    """Slow path of gu_subgroup_search: per-residue spectra, then a search at every residue."""
+    equal, witness = eds_oracle(chain, default_eds_radius(chain))
+    if not equal:
+        return GuSearchResult("refuted_by_eds", witness, (), None)
+    rs = residues(chain)
+    found: list[IsometryCandidate] = []
+    for x in rs.sorted:
+        hit = next(
+            (
+                (perm, signs)
+                for perm in permutations(range(chain.n))
+                for signs in product((1, -1), repeat=chain.n)
+                if rs.maps_onto(x, perm, signs)
+            ),
+            None,
+        )
+        if hit is None:
+            return GuSearchResult("inconclusive", None, tuple(found), x)
+        perm, signs = hit
+        translation = tuple(-s * x[k] for s, k in zip(signs, perm))
+        found.append(IsometryCandidate(perm, signs, translation))
+    return GuSearchResult("certified", None, tuple(found), None)
 
 
 def members(chain: CodeChain, spread: int = 2):

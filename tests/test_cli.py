@@ -151,6 +151,12 @@ def test_presets_listing(capsys):
         assert name in out
 
 
+def test_gu_search_guard_after_spectra_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "gu-search", "--preset", "dplus11")
+    assert code == 2 and out == ""
+    assert err == "error: isometry search is guarded to n <= 6, got 11\n"
+
+
 def test_huge_length_is_input_error(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("n 1000000000000\nL 1\ncode 1 generator\n"))
     code, out, err = run_cli(capsys, "info", "-")

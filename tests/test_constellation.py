@@ -16,6 +16,8 @@ from ccc.constellation import (
 from ccc.f2 import code_from_words, span
 
 from conftest import (
+    first_failing_pair,
+    nested_chains,
     random_member,
     random_nested_chain,
     sign_candidates,
@@ -154,3 +156,30 @@ def test_cw_members_matches_sign_loop(chain, data):
     offset = data.draw(st.lists(st.integers(-9, 9), min_size=chain.n, max_size=chain.n))
     expected = [y for y in sign_candidates(center, offset) if contains(chain, y)]
     assert cw_members(chain, center, offset) == expected
+
+
+def _check_period_cosets(chain: CodeChain) -> None:
+    rs = residues(chain)
+    m = chain.modulus
+    group, reps, rep_of = rs.period_cosets
+    add = lambda a, b: tuple((x + y) % m for x, y in zip(a, b))
+    for h in group:
+        assert {add(s, h) for s in rs.sorted} == rs.residues
+    assert all(add(a, b) in group for a in group for b in group)
+    # H is all of R exactly when R is a subgroup, that is when the chain is a lattice
+    assert (group == rs.residues) == (first_failing_pair(chain) is None)
+    assert set(rep_of) == rs.residues
+    assert all(rep_of[x] == min(add(x, h) for h in group) for x in rs.sorted)
+    assert reps == tuple(x for x in rs.sorted if rep_of[x] == x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_chains())
+def test_period_cosets_small_chains(chain):
+    _check_period_cosets(chain)
+
+
+@settings(max_examples=50, deadline=None)
+@given(nested_chains(nmax=5))
+def test_period_cosets_nested_chains(chain):
+    _check_period_cosets(chain)

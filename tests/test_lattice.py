@@ -18,6 +18,7 @@ from ccc.quantizer import dplus_chain
 
 from conftest import (
     all_subspaces,
+    closure_oracle,
     first_failing_pair,
     nested_basis_by_word_scan,
     nested_chains,
@@ -238,3 +239,19 @@ def test_direct_witness_is_first_failing_pair(chain):
     assert is_lattice_direct(chain, find_witness=False) == (expected is None, None)
     # closure makes each level's digit set closed under xor, so only linear chains pass
     assert chain.all_linear() or expected is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_chains())
+def test_direct_closure_matches_every_scaled_codeword(chain):
+    expected = closure_oracle(chain)
+    witness = first_failing_pair(chain)
+    assert is_lattice_direct(chain, find_witness=False) == (expected, None)
+    assert is_lattice_direct(chain) == (expected, witness)
+
+
+@settings(max_examples=50, deadline=None)
+@given(nested_chains(nmax=5))
+def test_direct_closure_matches_every_scaled_codeword_nested(chain):
+    residues.cache_clear()
+    assert is_lattice_direct(chain) == (closure_oracle(chain), first_failing_pair(chain))

@@ -16,6 +16,7 @@ from ccc.uniformity import gu_subgroup_search
 
 from conftest import (
     brute_spectrum,
+    class_scan_oracle,
     eds_oracle,
     kissing_oracle,
     members,
@@ -211,8 +212,76 @@ def test_class_scan_runs_once_per_residue_set(monkeypatch):
         assert eds_check(chain, 16) == (True, None)
         kissing_stats(chain)
         assert gu_subgroup_search(chain).verdict == "certified"
-        # one scan of 16 x 16 keys, then 16 keys for each of three spectrum_at calls
-        assert calls[0] == 16 * 16 + 3 * 16
+        # a lattice: one coset of its period group, so the scan reads the 16
+        # keys of one representative, and the three spectrum_at calls at it
+        # read the scan's copy
+        assert calls[0] == 16
+
+
+def trivial_period_chain() -> CodeChain:
+    """Three non-linear levels at n = 5: 48 residues, many classes, period group {0}."""
+    rng = random.Random(7)
+    words = [[tuple(rng.randint(0, 1) for _ in range(5)) for _ in range(k)] for k in (6, 5, 4)]
+    return CodeChain(codes=tuple(code_from_words(w) for w in words))
+
+
+@pytest.mark.parametrize(
+    "chain, cosets, keys",
+    [
+        # two cosets of 2 * (even-weight code); the per-residue scan read 1,120 keys
+        (dplus_chain(5), 2, 2 * 32),
+        # the n <= 6 search guard refuses after the scan; the per-residue scan read 4,200,448
+        (dplus_chain(11), 2, 2 * 2048),
+        # no period but 0: the scan reads |R|^2 keys, as the per-residue scan
+        # did; the 52 per-class spectrum_at calls read its keys instead of 48 each
+        (trivial_period_chain(), 48, 48 * 48),
+    ],
+    ids=["dplus5", "dplus11", "trivial-period"],
+)
+def test_class_scan_reads_one_center_per_coset(monkeypatch, chain, cosets, keys):
+    residues.cache_clear()
+    assert len(residues(chain).period_cosets.representatives) == cosets
+    calls = count_folded_keys(monkeypatch)
+    eds_check(chain, chain.modulus ** 2)
+    kissing_stats(chain)
+    try:
+        gu_subgroup_search(chain)
+    except ValueError as exc:
+        assert chain.n > 6 and "guarded to n <= 6" in str(exc)
+    assert calls[0] == keys
+    residues.cache_clear()
+    calls[0] = 0
+    list(residues(chain).class_representatives())
+    assert calls[0] == keys
+
+
+def test_search_guard_reached_after_the_coset_scan(monkeypatch):
+    chain = dplus_chain(11)
+    residues.cache_clear()
+    rs = residues(chain)
+    calls = count_folded_keys(monkeypatch)
+    with pytest.raises(ValueError, match="guarded to n <= 6"):
+        gu_subgroup_search(chain)
+    assert 0 < calls[0] <= len(rs.period_cosets.representatives) * len(rs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_chains(), st.data())
+def test_class_scan_matches_every_residue_scan(chain, data):
+    residues.cache_clear()
+    reps = class_scan_oracle(chain)
+    m2 = chain.modulus ** 2
+    r2max = data.draw(st.integers(1, 2 * m2), label="r2max")
+    fresh = [spectrum_at(chain, c, m2).counts for c in reps]  # before any scan
+    assert list(residues(chain).class_representatives()) == reps
+    assert [spectrum_at(chain, c, m2).counts for c in reps] == fresh  # the scan's keys
+    eds, kissing = _outcome(eds_oracle, chain, r2max), kissing_oracle(chain)
+    for first_eds in (True, False):
+        residues.cache_clear()
+        if first_eds:
+            assert _outcome(eds_check, chain, r2max) == eds
+        assert kissing_stats(chain) == kissing
+        assert _outcome(eds_check, chain, r2max) == eds
 
 
 def test_class_scan_stops_at_the_second_class(monkeypatch):

@@ -20,6 +20,8 @@ from ccc.uniformity import (
 )
 
 from conftest import (
+    gu_search_oracle,
+    gu_two_level_oracle,
     members,
     random_l2_chain,
     random_member,
@@ -241,3 +243,26 @@ def test_euclidean_partner_all_matches_signed_shell(chain, data):
     sphere = (tuple(a + b for a, b in zip(xp, v)) for v in signed_shell(chain.n, d2))
     expected = sorted(p for p in sphere if contains(chain, p))
     assert euclidean_partner_all(chain, x, y, xp) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_chains(lmax=2))
+def test_gu_two_level_matches_per_residue_oracle(chain):
+    if chain.L != 2 or not chain.all_linear():
+        with pytest.raises(ValueError):
+            gu_check_two_level(chain)
+        return
+    assert gu_check_two_level(chain) == gu_two_level_oracle(chain)
+
+
+def test_gu_two_level_matches_per_residue_oracle_random_chains():
+    rng = random.Random(5002)
+    for _ in range(40):
+        chain = random_l2_chain(rng, nmax=5)
+        assert gu_check_two_level(chain) == gu_two_level_oracle(chain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_chains())
+def test_gu_search_matches_per_residue_oracle(chain):
+    assert gu_subgroup_search(chain) == gu_search_oracle(chain)
