@@ -17,11 +17,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import prod
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .f2 import BinaryCode, Word, echelon_basis, is_linear, is_nested
 
 Point = tuple[int, ...]
+KeyCounts = frozenset[tuple[tuple[int, ...], int]]  # folded keys with multiplicities
+T = TypeVar("T")
 
 MAX_RESIDUE_COUNT = 1 << 22
 
@@ -68,14 +70,6 @@ class CodeChain:
         return all(is_nested(a, b) for a, b in zip(self.codes, self.codes[1:]))
 
 
-class PeriodCosets(NamedTuple):
-    """A verified subgroup H of a residue set's period group, and the set split into its cosets."""
-
-    group: frozenset[Point]
-    representatives: tuple[Point, ...]  # the first residue of each coset, in sorted order
-    representative_of: dict[Point, Point]
-
-
 @dataclass(frozen=True)
 class ResidueSet:
     """The finite image of a constellation modulo its period.
@@ -83,18 +77,8 @@ class ResidueSet:
     The arithmetic mod the period that the lattice, symmetry and spectrum
     questions run on residues lives here: sums (closure), signed
     permutations (symmetry) and folded differences (spectrum classes).
-
-    Those questions are asked point by point, and each answer is the same at
-    x and x + t whenever R + t = R, because then R - t = R too.  The
-    translations t with R + t = R form a group G, the period group of R
-    modulo m (Forney's translation group of a geometrically uniform code).
-    ``period_cosets`` holds a subgroup H of G: the group generated by the
-    ``candidates`` that pass ``closed_under([g])`` one by one.  No candidate
-    is trusted unchecked (a scaled codeword need not fix R, because integer
-    addition carries into the next level), and sums of translations that fix
-    R fix R, so every element of H is in G; a set where no candidate passes
-    gets H = {0}.  Any verified subgroup is sound for the coset arguments of
-    the methods below; a larger H only means fewer cosets to visit.
+    Those questions are asked point by point, and ``per_coset`` asks each
+    one once per coset of the verified period subgroup ``period_group``.
     """
 
     n: int
@@ -122,8 +106,16 @@ class ResidueSet:
         return all(p in members for p in sums)
 
     @cached_property
-    def period_cosets(self) -> PeriodCosets:
-        """H, and R as a union of cosets x + H (R + H = R)."""
+    def period_group(self) -> frozenset[Point]:
+        """A subgroup H of the period group G = {t : R + t = R mod m}.
+
+        G is Forney's translation group of a geometrically uniform code.  H is
+        the group generated by the ``candidates`` that pass ``closed_under([g])``
+        one by one.  No candidate is trusted unchecked (a scaled codeword need
+        not fix R, because integer addition carries into the next level), and
+        sums of translations that fix R fix R, so H lies in G; a set where no
+        candidate passes gets H = {0}.
+        """
         m, zero = self.modulus, (0,) * self.n
         group, members = [zero], {zero}
         for g in self.candidates:
@@ -136,14 +128,36 @@ class ResidueSet:
                     break
                 group += block
                 members.update(block)
-        rep_of: dict[Point, Point] = {}
-        reps: list[Point] = []
+        return frozenset(members)
+
+    def per_coset(self, fn: Callable[[Point], T], even: bool = False) -> Iterator[tuple[Point, T]]:
+        """Yield (x, fn(r)) for every residue x in sorted order, r the first residue of x's coset.
+
+        The cosets are those of H = ``period_group``, or of H ∩ 2Z^n when
+        ``even``.  This is sound for any question whose answer is the same at
+        x and x + h for h in the group: for h in H, R + h = R and R - h = R,
+        so translating a point by h permutes the residues it is measured
+        against.  A question that also reads x mod 2 is constant only on the
+        even members of H, and two residues share a coset of H ∩ 2Z^n exactly
+        when they share a coset of H and agree mod 2.  fn runs once per coset,
+        when its first residue is reached; a caller that stops early leaves
+        the later cosets uncalled, and the first x with a given answer is the
+        one a per-residue loop would find.
+        """
+        m = self.modulus
+        group = [h for h in self.period_group if not even or all(v % 2 == 0 for v in h)]
+        pending: dict[Point, T] = {}  # answers for the coset members not yet reached
         for x in self.sorted:
-            if x not in rep_of:
-                reps.append(x)
+            if x not in pending:
+                answer = fn(x)
                 for h in group:
-                    rep_of[tuple((a + b) % m for a, b in zip(x, h))] = x
-        return PeriodCosets(frozenset(members), tuple(reps), rep_of)
+                    pending[tuple((a + b) % m for a, b in zip(x, h))] = answer
+            yield x, pending.pop(x)
+
+    @cached_property
+    def coset_representatives(self) -> tuple[Point, ...]:
+        """The first residue of each coset of H, in sorted order."""
+        return tuple(x for x, r in self.per_coset(lambda r: r) if x == r)
 
     def first_pair_outside(self) -> tuple[Point, Point] | None:
         """The lexicographically first residue pair whose sum is not a residue.
@@ -151,7 +165,7 @@ class ResidueSet:
         Whether s + t is a residue is constant on the cosets of s and of t,
         so the first failing pair is a pair of coset representatives.
         """
-        m, order, members = self.modulus, self.period_cosets.representatives, self.residues
+        m, order, members = self.modulus, self.coset_representatives, self.residues
         for s in order:
             for t in order:
                 if tuple((x + y) % m for x, y in zip(s, t)) not in members:
@@ -176,53 +190,40 @@ class ResidueSet:
         m = self.modulus
         return tuple(sorted(min((a - b) % m, (b - a) % m) for a, b in zip(s, c)))
 
-    def key_counts(self, c: Sequence[int]) -> frozenset[tuple[tuple[int, ...], int]]:
-        """The folded keys of every residue against the center c, with multiplicities.
-
-        At a spectrum-class representative that the class scan has read, the
-        scan's copy is returned instead of computing |R| keys again.
-        """
-        known = self._class_keys.get(tuple(x % self.modulus for x in c))
-        if known is not None:
-            return known
+    def key_counts(self, c: Sequence[int]) -> KeyCounts:
+        """The folded keys of every residue against the center c, with multiplicities."""
         key = self.folded_key
         return frozenset(Counter(key(s, c) for s in self.sorted).items())
 
     @cached_property
-    def _class_keys(self) -> dict[Point, frozenset]:
-        # the key multiset of each class representative the scan has found
-        return {}
+    def _class_scan(self) -> tuple[list, set[KeyCounts], Iterator[Point], threading.Lock]:
+        # (representative, keys) of the classes found so far, their key multisets,
+        # coset representatives not yet read
+        return [], set(), iter(self.coset_representatives), threading.Lock()
 
-    @cached_property
-    def _class_scan(self) -> tuple[list[Point], set[frozenset], Iterator[Point], threading.Lock]:
-        # representatives found so far, their signatures, coset representatives not yet read
-        return [], set(), iter(self.period_cosets.representatives), threading.Lock()
-
-    def class_representatives(self) -> Iterator[Point]:
-        """The lexicographically first residue of each spectrum class, in order.
+    def spectrum_classes(self) -> Iterator[tuple[Point, KeyCounts]]:
+        """The first residue of each spectrum class and its key multiset, in order.
 
         A class is the set of residues whose folded key multisets agree.  The
-        multiset is the same at x and x + h for h in H, so a class is a union
-        of cosets of H, its first residue is a coset representative, and only
-        the representatives are read.  The scan is shared by every caller on
-        this residue set and advances only as far as some caller has read, so
-        a caller that stops early leaves the rest unread.
+        multiset is the same on a coset of H, so a class is a union of cosets,
+        its first residue is a coset representative, and only the
+        representatives are read.  The scan is shared by every caller on this
+        residue set and advances only as far as some caller has read, so a
+        caller that stops early leaves the rest unread.
         """
-        reps, seen, pending, lock = self._class_scan
-        keys = self._class_keys
+        found, seen, pending, lock = self._class_scan
         i = 0
         while True:
             with lock:
-                while i == len(reps):
+                while i == len(found):
                     c = next(pending, None)
                     if c is None:
                         return
                     sig = self.key_counts(c)
                     if sig not in seen:
                         seen.add(sig)
-                        keys[c] = sig
-                        reps.append(c)
-            yield reps[i]
+                        found.append((c, sig))
+            yield found[i]
             i += 1
 
 

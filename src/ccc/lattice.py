@@ -244,7 +244,7 @@ def is_lattice_direct(chain: CodeChain, find_witness: bool = True) -> tuple[bool
     lexicographic order, for the first pair whose sum leaves R.
     """
     rs = residues(chain)
-    period = rs.period_cosets.group
+    period = rs.period_group
     scaled = (
         tuple(b << level for b in w)
         for level, code in enumerate(chain.codes)

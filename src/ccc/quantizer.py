@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .constellation import CodeChain, Point, residues
-from .f2 import BinaryCode, span
+from .f2 import BinaryCode, _check_length, span
 from .parallel import ordered_map
 
 SAMPLE_BATCH = 8192  # fixed batch size keeps the sample stream independent of threading
@@ -236,6 +236,7 @@ def dplus_chain(n: int) -> CodeChain:
     """
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
+    _check_length(n)  # before any length-n word is built
     repetition = span([(1,) * n])
     parity_rows = [
         tuple(1 if j in (i, i + 1) else 0 for j in range(n)) for i in range(n - 1)

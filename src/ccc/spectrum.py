@@ -11,17 +11,15 @@ Two centers whose folded keys agree as multisets have identical spectra at
 every radius.  The residues therefore fall into spectrum classes, and the
 whole-constellation questions (equal spectra, kissing numbers) need one
 ``spectrum_at`` call per class, made at the class's lexicographically first
-residue.  Translating the center by a period h of the residue set (R + h = R)
-permutes the residues it is measured against, so each class is a union of
-cosets of the residue set's period subgroup H, and the scan reads one
-coset representative per coset: |R/H| * |R| folded keys, not |R|^2.
+residue with the key multiset the class scan read there.  The multiset is the
+same at x and x + h for a period h of the residue set, so the class scan runs
+on ``ResidueSet.per_coset``'s coset representatives: |R/H| * |R| folded keys,
+not |R|^2.
 
 The folded keys and the class scan are methods of ``ResidueSet``.  The scan is
 lazy and memoized on its residue set, so it runs at most once per residue set,
 whichever of ``eds_check``, ``kissing_stats`` or the isometry search asks
-first, and it keeps each class representative's key multiset, which
-``spectrum_at`` at that representative reads instead of recomputing; this
-module keeps the work guards and builds the tables.
+first; this module keeps the work guards and builds the tables.
 """
 
 from __future__ import annotations
@@ -30,9 +28,9 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
-from .constellation import CodeChain, Point, contains, cw_members, residues
+from .constellation import CodeChain, KeyCounts, Point, ResidueSet, contains, cw_members, residues
 
 MAX_SPECTRUM_WORK = 10**8
 
@@ -60,16 +58,18 @@ def cw_equidistant(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(abs(x) == abs(y) for x, y in zip(a, b))
 
 
-def spectrum_at(chain: CodeChain, c: Sequence[int], r2max: int) -> SpectrumTable:
-    """Exact neighbor counts around a constellation member, out to r2max."""
+def spectrum_at(chain: CodeChain, c: Sequence[int], r2max: int, *, _keys: KeyCounts | None = None) -> SpectrumTable:
+    """Exact neighbor counts around a constellation member, out to r2max.
+
+    ``_keys`` is c's key multiset when the caller already holds it, as the
+    class scan does; it is not checked against c.
+    """
     if not contains(chain, c):
         raise ValueError(f"center {tuple(c)} is not in the constellation")
-    if r2max < 1:
-        raise ValueError("r2max must be at least 1")
     rs = residues(chain)
-    if (r2max + 1) * len(rs) > MAX_SPECTRUM_WORK:
-        raise ValueError("spectrum enumeration exceeds the work guard")
-    counts = _table_from_keys(chain.modulus, rs.key_counts(c), r2max)
+    _check_table_work(rs, r2max)
+    keys = rs.key_counts(c) if _keys is None else _keys
+    counts = _table_from_keys(chain.modulus, keys, r2max)
     return SpectrumTable(center=tuple(c), r2max=r2max, counts=counts)
 
 
@@ -94,11 +94,11 @@ def eds_check(chain: CodeChain, r2max: int) -> tuple[bool, EdsWitness | None]:
     first residue (in lexicographic order) whose table differs from the first
     residue's, at the smallest disagreeing distance.
     """
-    reps = _class_representatives(chain)
-    first = next(reps)
-    ref = spectrum_at(chain, first, r2max).counts
-    for c in reps:
-        t = spectrum_at(chain, c, r2max).counts
+    classes = _spectrum_classes(chain, r2max)
+    first, keys = next(classes)
+    ref = spectrum_at(chain, first, r2max, _keys=keys).counts
+    for c, keys in classes:
+        t = spectrum_at(chain, c, r2max, _keys=keys).counts
         if t == ref:
             continue
         d2 = min(k for k in set(ref) | set(t) if ref.get(k, 0) != t.get(k, 0))
@@ -120,8 +120,8 @@ def kissing_stats(chain: CodeChain) -> tuple[int, set[int]]:
     The period translates c +/- 2^L e_j guarantee neighbors at 4^L, so that
     radius always suffices to locate the minimum.
     """
-    m = chain.modulus
-    tables = [spectrum_at(chain, c, m * m).counts for c in _class_representatives(chain)]
+    r2max = chain.modulus ** 2
+    tables = [spectrum_at(chain, c, r2max, _keys=k).counts for c, k in _spectrum_classes(chain, r2max)]
     d2min = min(min(t) for t in tables)  # every table holds the 4^L shell
     return d2min, {t.get(d2min, 0) for t in tables}
 
@@ -165,15 +165,24 @@ def _key_table(m: int, key: tuple[int, ...], r2max: int) -> tuple[tuple[int, int
     return tuple((d2, cnt) for d2, cnt in enumerate(acc) if cnt)
 
 
-def _class_representatives(chain: CodeChain) -> Iterator[Point]:
-    """The residue set's spectrum-class representatives, behind the |R|^2 work guard."""
+def _spectrum_classes(chain: CodeChain, r2max: int) -> Iterator[tuple[Point, KeyCounts]]:
+    """The residue set's spectrum classes, behind the |R|^2 and per-table work guards."""
     rs = residues(chain)
     if len(rs) ** 2 > MAX_SPECTRUM_WORK:
         raise ValueError("spectrum comparison exceeds the work guard")
-    return rs.class_representatives()
+    _check_table_work(rs, r2max)
+    return rs.spectrum_classes()
 
 
-def _table_from_keys(m: int, keys: Iterable[tuple[tuple[int, ...], int]], r2max: int) -> dict[int, int]:
+def _check_table_work(rs: ResidueSet, r2max: int) -> None:
+    """The per-table guard: one (r2max + 1)-entry convolution per residue's key."""
+    if r2max < 1:
+        raise ValueError("r2max must be at least 1")
+    if (r2max + 1) * len(rs) > MAX_SPECTRUM_WORK:
+        raise ValueError("spectrum enumeration exceeds the work guard")
+
+
+def _table_from_keys(m: int, keys: KeyCounts, r2max: int) -> dict[int, int]:
     totals: Counter[int] = Counter()
     for key, mult in keys:
         for d2, cnt in _key_table(m, key, r2max):

@@ -17,14 +17,16 @@ x' is the union of such searches over the nonnegative vectors of that norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import permutations, product
-from math import isqrt
+from math import comb, isqrt
 from typing import Iterable, Sequence
 
 from .constellation import CodeChain, Point, ResidueSet, contains, cw_members, decompose, residues
 from .spectrum import EdsWitness, cw_equidistant, eds_check
 
 MAX_SEARCH_DIMENSION = 6  # the signed-permutation search scans 2^n * n! candidates
+MAX_SHELL_STEPS = 10**7  # shell-walk ends of the Euclidean partner search, estimated before it starts
 
 
 @dataclass(frozen=True)
@@ -74,32 +76,22 @@ def gu_check_two_level(chain: CodeChain) -> GuTwoLevelResult:
     For each residue x the check is the exact set equality
     {T_x(s - x) mod 4 : s residue} == residues, which is sound because T_x
     maps 4*Z^n to itself.  T_x is a signed permutation with the identity
-    permutation, so the test is the one the isometry search runs.
-
-    The check runs once per coset of H ∩ 2Z^n, where H is the residue set's
-    period subgroup.  A period h of R leaves the image set unchanged
-    (R - h = R), but T_x is read off x's level-1 digit, x mod 2, so only an
-    even h keeps T_x too.  Two residues share a coset of H ∩ 2Z^n exactly
-    when they share a coset of H and agree mod 2.  Every member of a coset
-    gets the reflection and the verdict of its first residue in sorted
-    order, so the first failing residue is the one a per-residue loop would
-    report.
+    permutation, so the test is the one the isometry search runs.  T_x
+    reads x mod 2, so the check runs per coset with ``even=True``.
     """
     if chain.L != 2:
         raise ValueError("the reflection certificate requires exactly two levels")
     if not chain.all_linear():
         raise ValueError("the reflection certificate requires linear codes")
     rs = residues(chain)
-    rep_of = rs.period_cosets.representative_of
     identity = tuple(range(chain.n))
+
+    def check(x: Point) -> tuple[tuple[int, ...], bool]:
+        signs = reflection_for(chain, x).signs
+        return signs, rs.maps_onto(x, identity, signs)
+
     certs: list[GuCertificate] = []
-    checked: dict[tuple[Point, Point], tuple[tuple[int, ...], bool]] = {}
-    for x in rs.sorted:
-        coset = (rep_of[x], tuple(v & 1 for v in x))
-        if coset not in checked:  # x is the first residue of its coset
-            signs = reflection_for(chain, x).signs
-            checked[coset] = signs, rs.maps_onto(x, identity, signs)
-        signs, ok = checked[coset]
+    for x, (signs, ok) in rs.per_coset(check, even=True):
         if not ok:
             return GuTwoLevelResult(uniform=False, certificates=tuple(certs), failing=x)
         certs.append(GuCertificate(x=x, signs=signs))
@@ -138,10 +130,8 @@ def gu_subgroup_search(chain: CodeChain, r2max: int | None = None) -> GuSearchRe
     search is reported as inconclusive because isometries outside this
     subgroup remain possible.
 
-    The search runs once per coset of the residue set's period subgroup H:
-    for h in H the map at x + h fixes R exactly when the map at x does,
-    because R - h = R, so every member of a coset reuses the first hit of
-    its first residue in sorted order, with its own translation.
+    Whether a signed permutation fixes R at x depends only on R - x, so the
+    search runs per coset; each residue gets its own translation.
     """
     if r2max is None:
         r2max = default_eds_radius(chain)
@@ -155,14 +145,8 @@ def gu_subgroup_search(chain: CodeChain, r2max: int | None = None) -> GuSearchRe
             f"isometry search is guarded to n <= {MAX_SEARCH_DIMENSION}, got {chain.n}"
         )
     rs = residues(chain)
-    rep_of = rs.period_cosets.representative_of
-    first_hit: dict[Point, tuple[tuple[int, ...], tuple[int, ...]] | None] = {}
     found: list[IsometryCandidate] = []
-    for x in rs.sorted:
-        rep = rep_of[x]
-        if rep not in first_hit:  # x is the first residue of its coset
-            first_hit[rep] = _first_symmetry(rs, x)
-        hit = first_hit[rep]
+    for x, hit in rs.per_coset(partial(_first_symmetry, rs)):
         if hit is None:
             return GuSearchResult(
                 verdict="inconclusive", eds_witness=None, isometries=tuple(found), unresolved=x
@@ -294,6 +278,13 @@ def euclidean_partner_all(
     """
     _require_members(chain, x, y, xp)
     d2 = sum((a - b) ** 2 for a, b in zip(y, x))
+    # the walk ends once per nonnegative vector of squared norm at most d2: at
+    # most (isqrt(d2) + 1)^n, and, as v <= v*v, at most those of sum at most d2
+    steps = min((isqrt(d2) + 1) ** chain.n, comb(chain.n + d2, chain.n))
+    if steps > MAX_SHELL_STEPS:
+        raise ValueError(
+            f"euclidean_partner_all: {steps} shell steps exceed the guard of {MAX_SHELL_STEPS}"
+        )
     return sorted(y2 for e in _shell_vectors(chain.n, d2) for y2 in cw_members(chain, xp, e))
 
 

@@ -164,6 +164,28 @@ def test_huge_length_is_input_error(capsys, monkeypatch):
     assert err == "error: code length must be in 1..24, got 1000000000000\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("dplus", "--n", "1000000000000"), ("lattice", "--preset", "dplus1000000000000")],
+    ids=["dplus", "preset"],
+)
+def test_huge_dplus_is_input_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: code length must be in 1..24, got 1000000000000\n"
+
+
+def test_euclidean_partner_shell_guard_is_input_error(capsys):
+    code, out, err = run_cli(
+        capsys, "partner", "--preset", "example1", "--mode", "euclid-brute",
+        "--x", "0,0", "--xp", "0,0", "--y", "4000,4000",
+    )
+    assert code == 2 and out == ""
+    assert err == (
+        "error: euclidean_partner_all: 32001649 shell steps exceed the guard of 10000000\n"
+    )
+
+
 def test_chain_file_and_stdin(capsys, tmp_path, monkeypatch):
     text = "n 1\nL 3\ncode 1 explicit\n0\n1\ncode 2 explicit\n0\n1\ncode 3 explicit\n0\n"
     path = tmp_path / "chain.txt"

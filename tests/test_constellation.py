@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -161,7 +162,8 @@ def test_cw_members_matches_sign_loop(chain, data):
 def _check_period_cosets(chain: CodeChain) -> None:
     rs = residues(chain)
     m = chain.modulus
-    group, reps, rep_of = rs.period_cosets
+    group, reps = rs.period_group, rs.coset_representatives
+    rep_of = dict(rs.per_coset(lambda r: r))
     add = lambda a, b: tuple((x + y) % m for x, y in zip(a, b))
     for h in group:
         assert {add(s, h) for s in rs.sorted} == rs.residues
@@ -183,3 +185,51 @@ def test_period_cosets_small_chains(chain):
 @given(nested_chains(nmax=5))
 def test_period_cosets_nested_chains(chain):
     _check_period_cosets(chain)
+
+
+def _check_per_coset(chain: CodeChain, data) -> None:
+    rs = residues(chain)
+    m = chain.modulus
+    group = rs.period_group
+
+    def first_of(sub):  # each residue's first coset member, by brute force
+        return {x: min(tuple((a + b) % m for a, b in zip(x, h)) for h in sub) for x in rs.sorted}
+
+    first_h = first_of(group)
+    first_even = first_of([h for h in group if all(v % 2 == 0 for v in h)])
+    for even, first in ((False, first_h), (True, first_even)):
+        calls: list = []
+
+        def fn(r):
+            calls.append(r)
+            return ("answer", r)
+
+        # (a) one call per coset, on its first residue, and every residue gets that answer
+        out = list(rs.per_coset(fn, even=even))
+        assert calls == sorted(set(first.values()))
+        assert out == [(x, ("answer", first[x])) for x in rs.sorted]
+        # (b) an iterator stopped after k residues has called only the cosets reached so far
+        k = data.draw(st.integers(0, len(rs)), label="k")
+        calls.clear()
+        taken = list(itertools.islice(rs.per_coset(fn, even=even), k))
+        assert calls == sorted({first[x] for x, _ in taken})
+    # (c) with even=True, two residues share an answer exactly when they share
+    # a coset of H and agree mod 2
+    answer = dict(rs.per_coset(lambda r: object(), even=True))
+    key = {x: (first_h[x], tuple(v % 2 for v in x)) for x in rs.sorted}
+    pairs = {(id(answer[x]), key[x]) for x in rs.sorted}
+    assert len(pairs) == len({id(a) for a in answer.values()}) == len(set(key.values()))
+    # (d) the representatives are the residues that represent themselves
+    assert rs.coset_representatives == tuple(x for x in rs.sorted if first_h[x] == x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_chains(), st.data())
+def test_per_coset_small_chains(chain, data):
+    _check_per_coset(chain, data)
+
+
+@settings(max_examples=50, deadline=None)
+@given(nested_chains(nmax=4), st.data())
+def test_per_coset_nested_chains(chain, data):
+    _check_per_coset(chain, data)

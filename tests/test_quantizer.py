@@ -126,6 +126,11 @@ def test_dplus_requires_n_at_least_two():
         dplus_chain(1)
 
 
+def test_dplus_checks_length_before_building_words():
+    with pytest.raises(ValueError, match="code length must be in 1..24, got 1000000000000"):
+        dplus_chain(10**12)
+
+
 def coordinates(m: int):
     """Reals around one period, half of them on the half-integer tie grid."""
     return st.one_of(

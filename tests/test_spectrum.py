@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccc import spectrum as spectrum_mod
 from ccc.constellation import CodeChain, ResidueSet, contains, residues
 from ccc.f2 import code_from_words, span
 from ccc.quantizer import dplus_chain
@@ -214,7 +215,7 @@ def test_class_scan_runs_once_per_residue_set(monkeypatch):
         assert gu_subgroup_search(chain).verdict == "certified"
         # a lattice: one coset of its period group, so the scan reads the 16
         # keys of one representative, and the three spectrum_at calls at it
-        # read the scan's copy
+        # are handed the scan's keys
         assert calls[0] == 16
 
 
@@ -225,6 +226,26 @@ def trivial_period_chain() -> CodeChain:
     return CodeChain(codes=tuple(code_from_words(w) for w in words))
 
 
+def test_one_spectrum_at_call_per_class(monkeypatch):
+    # each class table is built by a spectrum_at call at the class's first residue
+    chain = trivial_period_chain()
+    residues.cache_clear()
+    reps = [c for c, _ in residues(chain).spectrum_classes()]
+    centers = []
+    original = spectrum_mod.spectrum_at
+
+    def spy(chain, c, r2max, **kwargs):
+        centers.append(c)
+        return original(chain, c, r2max, **kwargs)
+
+    monkeypatch.setattr(spectrum_mod, "spectrum_at", spy)
+    kissing_stats(chain)
+    assert centers == reps
+    centers.clear()
+    uniform, witness = eds_check(chain, chain.modulus ** 2)
+    assert not uniform and centers == reps[: reps.index(witness.center_b) + 1]
+
+
 @pytest.mark.parametrize(
     "chain, cosets, keys",
     [
@@ -233,14 +254,15 @@ def trivial_period_chain() -> CodeChain:
         # the n <= 6 search guard refuses after the scan; the per-residue scan read 4,200,448
         (dplus_chain(11), 2, 2 * 2048),
         # no period but 0: the scan reads |R|^2 keys, as the per-residue scan
-        # did; the 52 per-class spectrum_at calls read its keys instead of 48 each
+        # did; the 52 per-class spectrum_at calls are handed its keys instead
+        # of reading 48 each
         (trivial_period_chain(), 48, 48 * 48),
     ],
     ids=["dplus5", "dplus11", "trivial-period"],
 )
 def test_class_scan_reads_one_center_per_coset(monkeypatch, chain, cosets, keys):
     residues.cache_clear()
-    assert len(residues(chain).period_cosets.representatives) == cosets
+    assert len(residues(chain).coset_representatives) == cosets
     calls = count_folded_keys(monkeypatch)
     eds_check(chain, chain.modulus ** 2)
     kissing_stats(chain)
@@ -251,7 +273,7 @@ def test_class_scan_reads_one_center_per_coset(monkeypatch, chain, cosets, keys)
     assert calls[0] == keys
     residues.cache_clear()
     calls[0] = 0
-    list(residues(chain).class_representatives())
+    list(residues(chain).spectrum_classes())
     assert calls[0] == keys
 
 
@@ -262,7 +284,7 @@ def test_search_guard_reached_after_the_coset_scan(monkeypatch):
     calls = count_folded_keys(monkeypatch)
     with pytest.raises(ValueError, match="guarded to n <= 6"):
         gu_subgroup_search(chain)
-    assert 0 < calls[0] <= len(rs.period_cosets.representatives) * len(rs)
+    assert 0 < calls[0] <= len(rs.coset_representatives) * len(rs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -273,8 +295,10 @@ def test_class_scan_matches_every_residue_scan(chain, data):
     m2 = chain.modulus ** 2
     r2max = data.draw(st.integers(1, 2 * m2), label="r2max")
     fresh = [spectrum_at(chain, c, m2).counts for c in reps]  # before any scan
-    assert list(residues(chain).class_representatives()) == reps
-    assert [spectrum_at(chain, c, m2).counts for c in reps] == fresh  # the scan's keys
+    rs = residues(chain)
+    assert [c for c, _ in rs.spectrum_classes()] == reps
+    assert [keys for _, keys in rs.spectrum_classes()] == [rs.key_counts(c) for c in reps]
+    assert [spectrum_at(chain, c, m2).counts for c in reps] == fresh  # after the scan
     eds, kissing = _outcome(eds_oracle, chain, r2max), kissing_oracle(chain)
     for first_eds in (True, False):
         residues.cache_clear()
@@ -316,7 +340,7 @@ def test_class_scan_shared_between_threads():
     words = [[tuple(rng.randint(0, 1) for _ in range(5)) for _ in range(k)] for k in (6, 5, 4)]
     chain = CodeChain(codes=tuple(code_from_words(w) for w in words))
     residues.cache_clear()
-    expected = list(residues(chain).class_representatives())
+    expected = list(residues(chain).spectrum_classes())
     assert len(expected) > 8
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -325,7 +349,7 @@ def test_class_scan_shared_between_threads():
             residues.cache_clear()
             rs = residues(chain)
             with ThreadPoolExecutor(8) as pool:
-                futures = [pool.submit(lambda: list(rs.class_representatives())) for _ in range(8)]
+                futures = [pool.submit(lambda: list(rs.spectrum_classes())) for _ in range(8)]
                 results = [f.result(timeout=60) for f in futures]
             assert results == [expected] * 8
     finally:

@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -223,6 +224,18 @@ def test_euclidean_partner_zero_radius(e5):
 
 def test_euclidean_partner_example3_fails(e3):
     assert euclidean_partner_bruteforce(e3, (0,), (3,), (9,)) is None
+
+
+def test_euclidean_partner_guard_admits_long_short_shells():
+    # (isqrt(d2) + 1)^n alone would estimate 2^24 and 3^15 walk ends for
+    # these; the walk ends at most C(n + d2, n) times (25 and 3,876)
+    for n, d2, hits in ((24, 1, 2), (15, 4, 30)):  # +-e1; +-2e_j
+        e1 = (1,) + (0,) * (n - 1)
+        chain = CodeChain.of(code_from_words([(0,) * n, e1]))
+        zero, y = (0,) * n, (isqrt(d2),) + (0,) * (n - 1)
+        expected = sorted(v for v in signed_shell(n, d2) if contains(chain, v))
+        assert len(expected) == hits
+        assert euclidean_partner_all(chain, zero, y, zero) == expected
 
 
 @settings(max_examples=100, deadline=None)
