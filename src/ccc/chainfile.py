@@ -63,12 +63,12 @@ def parse_chain(text: str) -> CodeChain:
         while idx < len(lines) and not lines[idx][1].startswith("code"):
             rows.append(_parse_row(lines[idx], n, level))
             idx += 1
-        if parts[2] == "explicit":
-            if not rows:
-                raise ChainFormatError(f"level {level}: empty code")
-            codes.append(code_from_words(rows))
-        else:
-            codes.append(span(rows, n=n))
+        if parts[2] == "explicit" and not rows:
+            raise ChainFormatError(f"level {level}: empty code")
+        try:
+            codes.append(code_from_words(rows) if parts[2] == "explicit" else span(rows, n=n))
+        except ValueError as exc:  # the length and size guards of f2
+            raise ChainFormatError(exc.args[0]) from None
     if len(codes) != level_count:
         raise ChainFormatError(f"expected {level_count} code blocks, found {len(codes)}")
     return CodeChain(codes=tuple(codes))

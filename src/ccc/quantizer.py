@@ -20,6 +20,9 @@ lattices and non-lattices alike because the constellation is periodic.  A
 cubic cell gives 1/12.  Each batch draws its samples from its own Philox
 generator, advanced to the batch's offset in the one seeded stream, so the
 samples do not depend on the batch layout or the worker count.
+
+numpy is imported only inside the decoder and the sampler, so the exact
+commands, which never decode, start without it.
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .constellation import CodeChain, Point, residues
 from .f2 import BinaryCode, _check_length, span
 from .parallel import ordered_map
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SAMPLE_BATCH = 8192  # fixed batch size keeps the sample stream independent of threading
 BLOCK_BYTES = 1 << 20  # one (rows x codewords) score block of the general top-code search
@@ -78,6 +82,8 @@ class _CosetDecoder:
 
     @classmethod
     def of(cls, chain: CodeChain) -> "_CosetDecoder":
+        import numpy as np
+
         if chain.L == 1:
             shifts = np.zeros((1, chain.n))
         else:
@@ -102,6 +108,8 @@ class _CosetDecoder:
         With d the folded distance from w (in [0, m]) to c, the odd digit's
         distance is half - d, and (half - d)^2 - d^2 = half * (half - 2d).
         """
+        import numpy as np
+
         d = np.abs(w - c)
         np.minimum(d, self.modulus - d, out=d)
         d *= -2.0
@@ -110,6 +118,8 @@ class _CosetDecoder:
 
     def top_words(self, delta: np.ndarray) -> np.ndarray:
         """Per row of delta, the top codeword x with the least delta @ x."""
+        import numpy as np
+
         if self.top is None:  # Wagner's rule: on odd weight flip the least reliable digit
             x = delta < 0
             odd = np.flatnonzero(np.count_nonzero(x, axis=1) & 1)
@@ -130,6 +140,8 @@ class _CosetDecoder:
 
     def distances(self, w: np.ndarray) -> np.ndarray:
         """Squared distance from each row of w (in [0, m)^n) to the constellation."""
+        import numpy as np
+
         m = self.modulus
         best: np.ndarray | None = None
         for c in self.shifts:
@@ -182,6 +194,8 @@ def _draws(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     Philox yields four 64-bit words per counter step and each double takes one
     word, so row start begins start*n/4 steps in (start is a multiple of 4).
     """
+    import numpy as np
+
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(start * n // 4)
     return np.random.Generator(bitgen).random((stop - start, n))
@@ -199,6 +213,8 @@ def nsm_estimate(
     """
     if samples < 1000:
         raise ValueError(f"at least 1000 samples required, got {samples}")
+    if not 0 <= seed < 2**128:  # the Philox key range
+        raise ValueError(f"seed must be in 0..2**128-1, got {seed}")
     n = chain.n
     m = chain.modulus
     dec = _CosetDecoder.of(chain)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 
@@ -137,6 +138,19 @@ def test_nsm_work_guard_is_input_error(capsys):
     assert "nsm_estimate work" in err and "guard" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "past-philox-key"])
+def test_nsm_seed_out_of_range_is_input_error(capsys, seed):
+    code, out, err = run_cli(capsys, "nsm", "--preset", "dplus3", "--samples", "2000", "--seed", str(seed))
+    assert code == 2 and out == ""
+    assert err == f"error: seed must be in 0..2**128-1, got {seed}\n"
+
+
+def test_nsm_largest_seed_runs(capsys):
+    code, report = run_json(capsys, "nsm", "--preset", "dplus3", "--samples", "2000", "--seed", str(2**128 - 1))
+    assert code == 0
+    assert report["seed"] == report["results"]["seed"] == 2**128 - 1
+
+
 def test_dplus_output_parses(capsys):
     code, out, _ = run_cli(capsys, "dplus", "--n", "5")
     assert code == 0
@@ -266,7 +280,7 @@ def test_nsm_thread_pool_is_capped(capsys, monkeypatch):
 
     argv = ["nsm", "--preset", "dplus3", "--samples", str(5 * 8192 - 100), "--seed", "3"]
     _, serial = run_json(capsys, *argv, "--threads", "1")
-    monkeypatch.setattr(parallel, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
     code, capped = run_json(capsys, *argv, "--threads", "64")
     assert code == 0 and capped == serial

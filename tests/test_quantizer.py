@@ -92,6 +92,23 @@ def test_nsm_sample_guard():
         nsm_estimate(dplus_chain(3), 999, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_nsm_seed_range_checked_before_decoding(monkeypatch, seed):
+    def no_decoder(chain):
+        raise AssertionError("decoder built before the seed check")
+
+    monkeypatch.setattr(_CosetDecoder, "of", no_decoder)
+    with pytest.raises(ValueError, match=rf"^seed must be in 0\.\.2\*\*128-1, got {seed}$"):
+        nsm_estimate(dplus_chain(3), 2000, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**128 - 1])
+def test_nsm_seed_range_ends_match_oracle(seed):
+    chain = dplus_chain(3)
+    est = nsm_estimate(chain, 2000, seed=seed)
+    assert (est.value, est.stderr) == nsm_oracle(chain, 2000, seed, SAMPLE_BATCH)
+
+
 def test_nsm_invariant_under_coordinate_permutation():
     base = CodeChain.of(span([(1, 0, 1)]), span([(1, 1, 0), (0, 1, 1)]))
     perm = [2, 0, 1]
