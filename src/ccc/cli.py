@@ -133,8 +133,14 @@ def _load_chain(args: argparse.Namespace) -> CodeChain:
         raise ValueError("a chain file (or --preset) is required")
     if args.chain == "-":
         return parse_chain(sys.stdin.read())
-    with open(args.chain, "r", encoding="utf-8") as fh:
-        return parse_chain(fh.read())
+    try:
+        with open(args.chain, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:  # its args[0] is the bare errno
+        raise ValueError(f"{args.chain}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:  # its args[0] is the codec name
+        raise ValueError(f"{args.chain}: not valid UTF-8 (byte {exc.start}: {exc.reason})") from None
+    return parse_chain(text)
 
 
 def _threads(args: argparse.Namespace) -> int:

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from math import prod
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .f2 import BinaryCode, Word, echelon_basis, is_linear, is_nested
 
@@ -75,10 +75,11 @@ class ResidueSet:
     """The finite image of a constellation modulo its period.
 
     The arithmetic mod the period that the lattice, symmetry and spectrum
-    questions run on residues lives here: sums (closure), signed
-    permutations (symmetry) and folded differences (spectrum classes).
-    Those questions are asked point by point, and ``per_coset`` asks each
-    one once per coset of the verified period subgroup ``period_group``.
+    questions run on residues lives here: sums (``fixes``, the closure
+    witness), signed permutations (symmetry) and folded differences
+    (spectrum classes).  Those questions are asked point by point, and
+    ``per_coset`` asks each one once per coset of the verified period
+    subgroup ``period_group``, whose generators ``fixes`` checks.
     """
 
     n: int
@@ -99,19 +100,18 @@ class ResidueSet:
     def __iter__(self):
         return iter(self.sorted)
 
-    def closed_under(self, translations: Iterable[Sequence[int]]) -> bool:
-        """Whether R + g stays inside R for every translation g."""
+    def fixes(self, g: Sequence[int]) -> bool:
+        """Whether R + g = R; translation is a bijection, so R + g inside R suffices."""
         m, members = self.modulus, self.residues
-        sums = (tuple((x + y) % m for x, y in zip(s, g)) for g in translations for s in members)
-        return all(p in members for p in sums)
+        return all(tuple((x + y) % m for x, y in zip(s, g)) in members for s in members)
 
     @cached_property
     def period_group(self) -> frozenset[Point]:
         """A subgroup H of the period group G = {t : R + t = R mod m}.
 
         G is Forney's translation group of a geometrically uniform code.  H is
-        the group generated by the ``candidates`` that pass ``closed_under([g])``
-        one by one.  No candidate is trusted unchecked (a scaled codeword need
+        the group generated by the ``candidates`` g that pass ``fixes(g)`` one
+        by one.  No candidate is trusted unchecked (a scaled codeword need
         not fix R, because integer addition carries into the next level), and
         sums of translations that fix R fix R, so H lies in G; a set where no
         candidate passes gets H = {0}.
@@ -119,7 +119,7 @@ class ResidueSet:
         m, zero = self.modulus, (0,) * self.n
         group, members = [zero], {zero}
         for g in self.candidates:
-            if g in members or not self.closed_under([g]):
+            if g in members or not self.fixes(g):
                 continue
             block = group  # the cosets H + k*g are new until k*g falls in H
             while True:

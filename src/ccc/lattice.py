@@ -217,40 +217,29 @@ def construction_d(chain: CodeChain) -> IntegerLattice:
 def is_lattice_direct(chain: CodeChain, find_witness: bool = True) -> tuple[bool, tuple[Point, Point] | None]:
     """Decide whether the constellation is closed under addition.
 
-    The residue set R is closed under coordinate-wise addition mod 2^L exactly
-    when the infinite point set is a lattice (a finite set closed under
-    addition in a finite group is a subgroup).  The verdict, for linear and
-    non-linear chains alike, is whether R + 2^i * c stays inside R for every
-    level i and every codeword c of C_(i+1).  That test is complete:
+    The residue set R is closed under addition mod 2^L exactly when the
+    infinite point set is a lattice.  The verdict is whether the period
+    subgroup H equals R:
 
-    * If every such translate stays in R, R is closed: each residue r is a
-      sum of scaled codewords (its digits), so R + r is reached by
-      translating one scaled codeword at a time and stays in R.
-    * If R is closed it is a subgroup, so 0 is in R.  The digits of 0 are
-      all zero, so the zero word lies in every code, and every scaled
-      codeword 2^i * c is itself a residue; closure keeps each translate
-      in R.
+    * If H = R, then R is a group.
+    * If R is a group, then 0 is a residue, so every code holds the zero
+      word.  Each candidate 2^i * b (b in the echelon basis of C_(i+1)) is
+      then a residue, and it fixes R.
+    * So H contains the group the candidates generate.  Reduced mod
+      2^(i+1), the members of that group that are divisible by 2^i give
+      every word of C_(i+1).  Hence the group has at least
+      |C_1|...|C_L| = |R| elements.  H fixes R and 0 is a residue, so H
+      lies in R, and H = R.
 
-    Translations by the residue set's period subgroup H are skipped: every
-    h in H satisfies R + h = R (each generator of H was checked one by one,
-    and the check is closed under sums), so a scaled codeword in H passes
-    the test without being run, and the test stays complete.  The loop runs
-    the remaining scaled codewords in the same order, so it never makes
-    more translations than translating by all of them; on a lattice, H is
-    all of R and no scaled codeword is left.
+    The sets are compared, not their sizes: R = {(1,)} and H = {(0,)} have
+    one element each.
 
     Only when the verdict is False and a witness is requested are residue
     pairs scanned, one pair of coset representatives of H at a time, in
     lexicographic order, for the first pair whose sum leaves R.
     """
     rs = residues(chain)
-    period = rs.period_group
-    scaled = (
-        tuple(b << level for b in w)
-        for level, code in enumerate(chain.codes)
-        for w in code.sorted_words()
-    )
-    closed = rs.closed_under(g for g in scaled if g not in period)
+    closed = rs.period_group == rs.residues
     if closed or not find_witness:
         return closed, None
     witness = rs.first_pair_outside()

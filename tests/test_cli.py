@@ -228,6 +228,22 @@ def test_input_errors(capsys, tmp_path):
     assert code == 2 and "not both" in err
 
 
+@pytest.mark.parametrize(
+    "kind, reason",
+    [("missing", "No such file or directory"), ("directory", "Is a directory"), ("not-utf8", "not valid UTF-8")],
+)
+def test_unreadable_chain_file_names_path_and_reason(capsys, tmp_path, kind, reason):
+    path = tmp_path / "c.chain"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfen 1\n")
+    code, out, err = run_cli(capsys, "info", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {reason}")
+
+
 def test_ccc_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("CCC_THREADS", "2")
     code, report = run_json(capsys, "eds", "--preset", "example1")

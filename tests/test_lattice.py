@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from ccc.constellation import CodeChain, residues
+from ccc.constellation import CodeChain, ResidueSet, residues
 from ccc.f2 import code_from_words, span
 from ccc.lattice import (
     combination_residues,
@@ -192,6 +193,47 @@ def test_is_lattice_direct_nonlinear_codes():
     assert tuple((a + b) % m for a, b in zip(s, t)) not in residues(chain).residues
 
 
+class _CountingSet(frozenset):
+    lookups = 0
+
+    def __contains__(self, p):
+        type(self).lookups += 1
+        return frozenset.__contains__(self, p)
+
+
+@pytest.mark.parametrize(
+    "chain",
+    [
+        dplus_chain(4),
+        dplus_chain(5),
+        CodeChain.of(code_from_words([(0, 0, 0), (1, 1, 0), (0, 1, 1)]), span([(1, 0, 0)], n=3)),
+    ],
+    ids=["dplus4", "dplus5", "nonlinear"],
+)
+def test_direct_verdict_translates_only_by_candidates(chain, monkeypatch):
+    """The verdict makes at most one ``fixes`` check per candidate, and no other residue lookup."""
+    residues.cache_clear()
+    real = residues(chain)
+    rs = dataclasses.replace(real, residues=_CountingSet(real.residues))
+    monkeypatch.setattr("ccc.lattice.residues", lambda _: rs)
+    monkeypatch.setattr(_CountingSet, "lookups", 0)
+    calls, inside = [], [0]
+    fixes = ResidueSet.fixes
+
+    def spy(self, g):
+        calls.append(g)
+        before = _CountingSet.lookups
+        result = fixes(self, g)
+        inside[0] += _CountingSet.lookups - before
+        return result
+
+    monkeypatch.setattr(ResidueSet, "fixes", spy)
+    verdict, witness = is_lattice_direct(chain, find_witness=False)
+    assert (verdict, witness) == (closure_oracle(chain), None)
+    assert 0 < len(calls) <= len(rs.candidates)
+    assert _CountingSet.lookups == inside[0] > 0
+
+
 def test_equivalence_report_rejects_nonlinear():
     chain = CodeChain.of(code_from_words([(1, 0)]))
     with pytest.raises(ValueError):
@@ -233,6 +275,7 @@ def test_inconsistent_report_raises_on_verdict():
 
 @settings(max_examples=150, deadline=None)
 @given(small_chains())
+@example(CodeChain.of(code_from_words([(1,)])))  # R = {(1,)}, H = {(0,)}: equal sizes, witness ((1,), (1,))
 def test_direct_witness_is_first_failing_pair(chain):
     expected = first_failing_pair(chain)
     assert is_lattice_direct(chain) == (expected is None, expected)
