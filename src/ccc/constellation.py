@@ -16,7 +16,9 @@ import threading
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import repeat
 from math import prod
+from operator import sub
 from typing import Callable, Iterator, Sequence, TypeVar
 
 from .f2 import BinaryCode, Word, echelon_basis, is_linear, is_nested
@@ -26,6 +28,19 @@ KeyCounts = frozenset[tuple[tuple[int, ...], int]]  # folded keys with multiplic
 T = TypeVar("T")
 
 MAX_RESIDUE_COUNT = 1 << 22
+
+
+class _FoldTable(dict):
+    """Coordinate difference d -> distance from d to the nearest multiple of m, stored on first use."""
+
+    def __init__(self, m: int):
+        super().__init__()
+        self.m = m
+
+    def __missing__(self, d: int) -> int:
+        m = self.m
+        fold = self[d] = min(d % m, -d % m)
+        return fold
 
 
 @dataclass(frozen=True)
@@ -185,15 +200,32 @@ class ResidueSet:
             for p in members
         )
 
+    @cached_property
+    def _fold(self) -> Callable[[int], int]:
+        # one table per residue set, holding no reference back to it, so the
+        # set still dies with the residues cache
+        return _FoldTable(self.modulus).__getitem__
+
     def folded_key(self, s: Point, c: Sequence[int]) -> tuple[int, ...]:
-        """The sorted coordinate distances of s - c to the nearest multiple of m."""
-        m = self.modulus
-        return tuple(sorted(min((a - b) % m, (b - a) % m) for a, b in zip(s, c)))
+        """The sorted coordinate distances of s - c to the nearest multiple of m.
+
+        Each distance is read from a per-set fold table filled on demand, so
+        the table holds only the differences seen and is never sized by the
+        modulus 2^L.
+        """
+        return tuple(sorted(map(self._fold, map(sub, s, c))))
 
     def key_counts(self, c: Sequence[int]) -> KeyCounts:
-        """The folded keys of every residue against the center c, with multiplicities."""
-        key = self.folded_key
-        return frozenset(Counter(key(s, c) for s in self.sorted).items())
+        """The folded keys of every residue against the center c, with multiplicities.
+
+        c is reduced mod m once, so every difference read from the fold table
+        lies strictly between -m and m.
+        """
+        if len(c) != self.n:
+            raise ValueError(f"center has length {len(c)}, expected {self.n}")
+        m = self.modulus
+        c = tuple(x % m for x in c)
+        return frozenset(Counter(map(self.folded_key, self.sorted, repeat(c))).items())
 
     @cached_property
     def _class_scan(self) -> tuple[list, set[KeyCounts], Iterator[Point], threading.Lock]:

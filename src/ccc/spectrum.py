@@ -19,7 +19,11 @@ not |R|^2.
 The folded keys and the class scan are methods of ``ResidueSet``.  The scan is
 lazy and memoized on its residue set, so it runs at most once per residue set,
 whichever of ``eds_check``, ``kissing_stats`` or the isometry search asks
-first; this module keeps the work guards and builds the tables.
+first; this module keeps the work guards and builds the tables.  Each folded
+coordinate distance is read from a fold table on the residue set that is
+filled on demand with the differences the keys meet.  It is never sized by
+the modulus 2^L, so the keys of a chain with many levels cost no more than
+those of a shallow one.
 """
 
 from __future__ import annotations

@@ -189,6 +189,11 @@ def closure_oracle(chain: CodeChain) -> bool:
     )
 
 
+def folded_key_oracle(m: int, s: Sequence[int], c: Sequence[int]) -> tuple[int, ...]:
+    """Slow path of ResidueSet.folded_key: two reductions mod m and a min per coordinate."""
+    return tuple(sorted(min((a - b) % m, (b - a) % m) for a, b in zip(s, c)))
+
+
 def class_scan_oracle(chain: CodeChain) -> list[Point]:
     """Slow path of the class scan: the key multiset of every residue, in sorted order."""
     rs = residues(chain)
@@ -196,9 +201,7 @@ def class_scan_oracle(chain: CodeChain) -> list[Point]:
     seen: set[frozenset] = set()
     reps: list[Point] = []
     for c in rs.sorted:
-        keys = Counter(
-            tuple(sorted(min((a - b) % m, (b - a) % m) for a, b in zip(s, c))) for s in rs.sorted
-        )
+        keys = Counter(folded_key_oracle(m, s, c) for s in rs.sorted)
         sig = frozenset(keys.items())
         if sig not in seen:
             seen.add(sig)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import io
 import json
+import time
 
 import pytest
 
@@ -313,3 +314,48 @@ def test_digest_is_canonical(capsys, tmp_path):
     _, rep_preset = run_json(capsys, "info", "--preset", "example5")
     assert rep_file["input"]["digest"] == rep_preset["input"]["digest"]
     assert parse_chain(generator) == example5()
+
+
+def deep_chain_text() -> str:
+    """n = 2, L = 40: C1 = C2 = C40 = {00, 11} and {00} elsewhere, so |R| = 8 and m = 2^40."""
+    blocks = [f"code {i} explicit\n00" + ("\n11" if i in (1, 2, 40) else "") for i in range(1, 41)]
+    return "n 2\nL 40\n" + "\n".join(blocks) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, results",
+    [
+        (
+            ("spectrum", "--center", "0,0", "--r2max", "8"),
+            0,
+            {"center": [0, 0], "counts": [[2, 1], [8, 1]], "r2max": 8, "total": 2},
+        ),
+        (
+            ("eds", "--r2max", "4"),
+            1,
+            {
+                "eds": False,
+                "r2max": 4,
+                "witness": {"center_a": [0, 0], "center_b": [1, 1], "count_a": 1, "count_b": 2, "d2": 2},
+            },
+        ),
+    ],
+    ids=["spectrum", "eds"],
+)
+def test_deep_chain_reports(capsys, monkeypatch, argv, exit_code, results):
+    # nothing in the spectrum path may be sized by the modulus 2^40
+    monkeypatch.setattr("sys.stdin", io.StringIO(deep_chain_text()))
+    start = time.perf_counter()
+    code, report = run_json(capsys, *argv, "-")
+    assert time.perf_counter() - start < 1.0
+    assert code == exit_code
+    assert report == {
+        "command": argv[0],
+        "input": {
+            "L": 40,
+            "digest": "f94309956f2845003b1fdcb7fae27b17307d9c41e72408a579be53ece6556362",
+            "n": 2,
+            "preset": None,
+        },
+        "results": results,
+    }

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,11 @@ from ccc.constellation import (
     residues,
 )
 from ccc.f2 import code_from_words, span
+from ccc.quantizer import dplus_chain
 
 from conftest import (
     first_failing_pair,
+    folded_key_oracle,
     nested_chains,
     random_member,
     random_nested_chain,
@@ -233,3 +236,22 @@ def test_per_coset_small_chains(chain, data):
 @given(nested_chains(nmax=4), st.data())
 def test_per_coset_nested_chains(chain, data):
     _check_per_coset(chain, data)
+
+
+@pytest.mark.parametrize("center", [(0, 0), (0, 0, 0, 0, 0)], ids=["short", "long"])
+def test_key_counts_refuses_a_center_of_the_wrong_length(center):
+    with pytest.raises(ValueError, match=f"center has length {len(center)}, expected 4"):
+        residues(dplus_chain(4)).key_counts(center)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_chains(), st.data())
+def test_key_counts_match_folded_key_oracle(chain, data):
+    # the center is a residue plus any period translate, so coordinates may be
+    # negative or far outside [0, m)
+    rs, m = residues(chain), chain.modulus
+    r = data.draw(st.sampled_from(rs.sorted), label="r")
+    z = data.draw(st.lists(st.integers(-(1 << 40), 1 << 40), min_size=chain.n, max_size=chain.n), label="z")
+    c = tuple(a + m * b for a, b in zip(r, z))
+    assert [rs.folded_key(s, c) for s in rs.sorted] == [folded_key_oracle(m, s, c) for s in rs.sorted]
+    assert rs.key_counts(c) == frozenset(Counter(folded_key_oracle(m, s, c) for s in rs.sorted).items())
