@@ -17,7 +17,7 @@ import time
 from typing import Sequence
 
 from . import lattice, quantizer, spectrum, uniformity
-from .chainfile import ChainFormatError, format_chain, parse_chain
+from .chainfile import format_chain, parse_chain
 from .constellation import CodeChain, contains, residues
 from .presets import get_preset, preset_descriptions
 
@@ -33,11 +33,17 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.print_help()
         return EXIT_INPUT
     try:
-        return _dispatch(args)
-    except (ChainFormatError, ValueError, KeyError, OSError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
+        code, text = _dispatch(args)
+    except ValueError as exc:  # input errors, ChainFormatError and the work guards among them
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    try:
+        print(text, end="", flush=True)
+    except BrokenPipeError:  # the reader left early: the verdict stands, and the rest goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,14 +99,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
+    """The command's exit code and the report text it writes to stdout."""
     if args.command == "dplus":
-        sys.stdout.write(format_chain(quantizer.dplus_chain(args.n)))
-        return EXIT_OK
+        return EXIT_OK, format_chain(quantizer.dplus_chain(args.n))
     if args.command == "presets":
-        for name, desc in preset_descriptions():
-            print(f"{name:10s} {desc}")
-        return EXIT_OK
+        return EXIT_OK, "".join(f"{name:10s} {desc}\n" for name, desc in preset_descriptions())
     if args.fmt == "tsv" and args.command != "spectrum":
         raise ValueError("tsv output is only available for the spectrum command")
     started = time.perf_counter()
@@ -120,8 +124,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     }
     if args.command == "nsm":
         report["seed"] = args.seed
-    _emit(args, report, human, time.perf_counter() - started)
-    return code
+    return code, _render(args, report, human, time.perf_counter() - started)
 
 
 def _load_chain(args: argparse.Namespace) -> CodeChain:
@@ -131,11 +134,14 @@ def _load_chain(args: argparse.Namespace) -> CodeChain:
         return get_preset(args.preset)
     if args.chain is None:
         raise ValueError("a chain file (or --preset) is required")
-    if args.chain == "-":
-        return parse_chain(sys.stdin.read())
     try:
-        with open(args.chain, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        if args.chain != "-":
+            with open(args.chain, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        elif sys.stdin is None:  # fd 0 was closed before the interpreter started
+            raise ValueError("-: stdin is closed")
+        else:
+            text = sys.stdin.read()
     except OSError as exc:  # its args[0] is the bare errno
         raise ValueError(f"{args.chain}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:  # its args[0] is the codec name
@@ -158,16 +164,14 @@ def _threads(args: argparse.Namespace) -> int:
     return t
 
 
-def _emit(args: argparse.Namespace, report: dict, human: list[str], runtime: float) -> None:
+def _render(args: argparse.Namespace, report: dict, human: list[str], runtime: float) -> str:
     if args.fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        lines = [json.dumps(report, sort_keys=True, indent=2)]
     elif args.fmt == "tsv":
-        for d2, count in report["results"]["counts"]:
-            print(f"{d2}\t{count}")
+        lines = [f"{d2}\t{count}" for d2, count in report["results"]["counts"]]
     else:
-        for line in human:
-            print(line)
-        print(f"runtime: {runtime:.3f}s")
+        lines = human + [f"runtime: {runtime:.3f}s"]
+    return "".join(line + "\n" for line in lines)
 
 
 def _point(text: str) -> tuple[int, ...]:

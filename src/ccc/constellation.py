@@ -30,6 +30,12 @@ T = TypeVar("T")
 MAX_RESIDUE_COUNT = 1 << 22
 
 
+def check_work(routine: str, work: int, guard: int) -> None:
+    """Refuse, as an input error, a run whose work estimate exceeds its guard."""
+    if work > guard:
+        raise ValueError(f"{routine}: work {work} exceeds the guard of {guard}")
+
+
 class _FoldTable(dict):
     """Coordinate difference d -> distance from d to the nearest multiple of m, stored on first use."""
 
@@ -263,8 +269,7 @@ class ResidueSet:
 def residues(chain: CodeChain) -> ResidueSet:
     """Enumerate all digit combinations; exactly one residue per combination."""
     count = chain.residue_count()
-    if count > MAX_RESIDUE_COUNT:
-        raise ValueError(f"residue count {count} exceeds the guard of {MAX_RESIDUE_COUNT}")
+    check_work("residues", count, MAX_RESIDUE_COUNT)
     n = chain.n
     acc: list[Point] = [(0,) * n]
     for level, code in enumerate(chain.codes):

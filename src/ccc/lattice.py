@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Sequence
 
-from .constellation import CodeChain, Point, residues
+from .constellation import CodeChain, Point, check_work, residues
 from .f2 import SpanTracker, Word, schur_closed_chain, unpack
 
 
@@ -174,9 +174,7 @@ def combination_points(chain: CodeChain) -> list[Point]:
     """
     nb = select_nested_basis(chain)
     n = chain.n
-    total = 1 << sum(nb.dims)
-    if total > MAX_COMBINATIONS:
-        raise ValueError(f"{total} basis combinations exceed the guard of {MAX_COMBINATIONS}")
+    check_work("combination_points", 1 << sum(nb.dims), MAX_COMBINATIONS)
     acc: list[Point] = [(0,) * n]
     for level, k in enumerate(nb.dims):
         scale = 1 << level

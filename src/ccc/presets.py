@@ -34,7 +34,7 @@ def get_preset(name: str) -> CodeChain:
     m = _DPLUS.match(name)
     if m:
         return dplus_chain(int(m.group(1)))
-    raise KeyError(f"unknown preset {name!r}; see 'ccc presets'")
+    raise ValueError(f"unknown preset {name!r}; see 'ccc presets'")
 
 
 def preset_descriptions() -> list[tuple[str, str]]:

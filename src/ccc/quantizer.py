@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .constellation import CodeChain, Point, residues
+from .constellation import CodeChain, Point, check_work, residues
 from .f2 import BinaryCode, _check_length, span
 from .parallel import ordered_map
 
@@ -218,12 +218,7 @@ def nsm_estimate(
     n = chain.n
     m = chain.modulus
     dec = _CosetDecoder.of(chain)
-    work = dec.work(samples)
-    if work > MAX_DECODE_WORK:
-        raise ValueError(
-            f"nsm_estimate work {work} (samples x lower words x decoding steps) "
-            f"exceeds the guard of {MAX_DECODE_WORK}"
-        )
+    check_work("nsm_estimate", dec.work(samples), MAX_DECODE_WORK)
     vol = covolume(chain)
     norm = n * float(vol) ** (2.0 / n)
 

@@ -34,7 +34,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterator, Sequence
 
-from .constellation import CodeChain, KeyCounts, Point, ResidueSet, contains, cw_members, residues
+from .constellation import CodeChain, KeyCounts, Point, ResidueSet, check_work, contains, cw_members, residues
 
 MAX_SPECTRUM_WORK = 10**8
 
@@ -170,11 +170,10 @@ def _key_table(m: int, key: tuple[int, ...], r2max: int) -> tuple[tuple[int, int
 
 
 def _spectrum_classes(chain: CodeChain, r2max: int) -> Iterator[tuple[Point, KeyCounts]]:
-    """The residue set's spectrum classes, behind the |R|^2 and per-table work guards."""
+    """The residue set's spectrum classes, behind the per-table and |R/H| * |R| key work guards."""
     rs = residues(chain)
-    if len(rs) ** 2 > MAX_SPECTRUM_WORK:
-        raise ValueError("spectrum comparison exceeds the work guard")
-    _check_table_work(rs, r2max)
+    _check_table_work(rs, r2max)  # the cheap guard first: the other needs the period group
+    check_work("spectrum class scan", len(rs.coset_representatives) * len(rs), MAX_SPECTRUM_WORK)
     return rs.spectrum_classes()
 
 
@@ -182,8 +181,7 @@ def _check_table_work(rs: ResidueSet, r2max: int) -> None:
     """The per-table guard: one (r2max + 1)-entry convolution per residue's key."""
     if r2max < 1:
         raise ValueError("r2max must be at least 1")
-    if (r2max + 1) * len(rs) > MAX_SPECTRUM_WORK:
-        raise ValueError("spectrum enumeration exceeds the work guard")
+    check_work("spectrum enumeration", (r2max + 1) * len(rs), MAX_SPECTRUM_WORK)
 
 
 def _table_from_keys(m: int, keys: KeyCounts, r2max: int) -> dict[int, int]:

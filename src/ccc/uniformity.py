@@ -19,13 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import permutations, product
-from math import comb, isqrt
+from math import comb, factorial, isqrt
 from typing import Iterable, Sequence
 
-from .constellation import CodeChain, Point, ResidueSet, contains, cw_members, decompose, residues
+from .constellation import CodeChain, Point, ResidueSet, check_work, contains, cw_members, decompose, residues
 from .spectrum import EdsWitness, cw_equidistant, eds_check
 
-MAX_SEARCH_DIMENSION = 6  # the signed-permutation search scans 2^n * n! candidates
+MAX_SEARCH_CANDIDATES = 2**6 * 720  # signed permutations 2^n * n!, so n <= 6
 MAX_SHELL_STEPS = 10**7  # shell-walk ends of the Euclidean partner search, estimated before it starts
 
 
@@ -140,10 +140,7 @@ def gu_subgroup_search(chain: CodeChain, r2max: int | None = None) -> GuSearchRe
         return GuSearchResult(
             verdict="refuted_by_eds", eds_witness=witness, isometries=(), unresolved=None
         )
-    if chain.n > MAX_SEARCH_DIMENSION:
-        raise ValueError(
-            f"isometry search is guarded to n <= {MAX_SEARCH_DIMENSION}, got {chain.n}"
-        )
+    check_work("gu_subgroup_search", 2**chain.n * factorial(chain.n), MAX_SEARCH_CANDIDATES)
     rs = residues(chain)
     found: list[IsometryCandidate] = []
     for x, hit in rs.per_coset(partial(_first_symmetry, rs)):
@@ -281,10 +278,7 @@ def euclidean_partner_all(
     # the walk ends once per nonnegative vector of squared norm at most d2: at
     # most (isqrt(d2) + 1)^n, and, as v <= v*v, at most those of sum at most d2
     steps = min((isqrt(d2) + 1) ** chain.n, comb(chain.n + d2, chain.n))
-    if steps > MAX_SHELL_STEPS:
-        raise ValueError(
-            f"euclidean_partner_all: {steps} shell steps exceed the guard of {MAX_SHELL_STEPS}"
-        )
+    check_work("euclidean_partner_all", steps, MAX_SHELL_STEPS)
     return sorted(y2 for e in _shell_vectors(chain.n, d2) for y2 in cw_members(chain, xp, e))
 
 

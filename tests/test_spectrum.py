@@ -171,25 +171,33 @@ def test_spectrum_classes_match_per_residue_oracles(chain, data):
     assert _outcome(eds_check, chain, r2max) == eds
 
 
-def full_space(n: int):
-    return span([tuple(int(i == j) for j in range(n)) for i in range(n)])
+def wide_trivial_period_chain() -> CodeChain:
+    """n = 14, L = 1: 10,001 random nonzero words and period group {0}, so |R/H| * |R| > 10^8."""
+    words = random.Random(0).sample(range(1, 1 << 14), 10_001)
+    return CodeChain.of(code_from_words([tuple(w >> j & 1 for j in range(14)) for w in words]))
 
 
 @pytest.mark.parametrize(
-    "call, message",
+    "call, routine, work",
     [
-        (lambda: eds_check(CodeChain.of(full_space(14)), 4), "spectrum comparison exceeds the work guard"),
-        (lambda: eds_check(dplus_chain(3), 10**8), "spectrum enumeration exceeds the work guard"),
+        (lambda: eds_check(wide_trivial_period_chain(), 4), "spectrum class scan", 10_001 * 10_001),
+        (lambda: eds_check(dplus_chain(3), 10**8), "spectrum enumeration", (10**8 + 1) * 8),
         (
             lambda: kissing_stats(CodeChain.of(span([(1,)]), *[span([], n=1)] * 13)),
-            "spectrum enumeration exceeds the work guard",
+            "spectrum enumeration",
+            (4**14 + 1) * 2,
         ),
     ],
-    ids=["classes-full14", "radius-dplus3", "kissing-L14"],
+    ids=["classes-trivial-period14", "radius-dplus3", "kissing-L14"],
 )
-def test_spectrum_work_guards(call, message):
-    with pytest.raises(ValueError, match=message):
+def test_spectrum_work_guards(call, routine, work):
+    with pytest.raises(ValueError, match=rf"^{routine}: work {work} exceeds the guard of 100000000$"):
         call()
+
+
+def test_class_scan_guard_counts_the_keys_it_reads():
+    # a lattice has one coset of H = R, so the scan reads 2^14 keys where |R|^2 is 2.7e8
+    assert eds_check(dplus_chain(14), 64) == (True, None)
 
 
 def count_folded_keys(monkeypatch) -> list[int]:
@@ -269,7 +277,7 @@ def test_class_scan_reads_one_center_per_coset(monkeypatch, chain, cosets, keys)
     try:
         gu_subgroup_search(chain)
     except ValueError as exc:
-        assert chain.n > 6 and "guarded to n <= 6" in str(exc)
+        assert chain.n > 6 and str(exc).startswith("gu_subgroup_search: work")
     assert calls[0] == keys
     residues.cache_clear()
     calls[0] = 0
@@ -282,7 +290,7 @@ def test_search_guard_reached_after_the_coset_scan(monkeypatch):
     residues.cache_clear()
     rs = residues(chain)
     calls = count_folded_keys(monkeypatch)
-    with pytest.raises(ValueError, match="guarded to n <= 6"):
+    with pytest.raises(ValueError, match=r"^gu_subgroup_search: work 81749606400 exceeds the guard of 46080$"):
         gu_subgroup_search(chain)
     assert 0 < calls[0] <= len(rs.coset_representatives) * len(rs)
 
