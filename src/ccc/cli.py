@@ -136,12 +136,13 @@ def _load_chain(args: argparse.Namespace) -> CodeChain:
         raise ValueError("a chain file (or --preset) is required")
     try:
         if args.chain != "-":
-            with open(args.chain, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            with open(args.chain, "rb") as fh:
+                data = fh.read()
         elif sys.stdin is None:  # fd 0 was closed before the interpreter started
             raise ValueError("-: stdin is closed")
-        else:
-            text = sys.stdin.read()
+        else:  # bytes: the text layer would decode with the locale's error handler
+            data = sys.stdin.buffer.read()
+        text = data.decode("utf-8")
     except OSError as exc:  # its args[0] is the bare errno
         raise ValueError(f"{args.chain}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:  # its args[0] is the codec name

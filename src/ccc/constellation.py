@@ -21,13 +21,14 @@ from math import prod
 from operator import sub
 from typing import Callable, Iterator, Sequence, TypeVar
 
-from .f2 import BinaryCode, Word, echelon_basis, is_linear, is_nested
+from .f2 import BinaryCode, Word, is_linear, is_nested
 
 Point = tuple[int, ...]
 KeyCounts = frozenset[tuple[tuple[int, ...], int]]  # folded keys with multiplicities
 T = TypeVar("T")
 
 MAX_RESIDUE_COUNT = 1 << 22
+MAX_SIGN_PATTERNS = 1 << 20  # membership tests in cw_members
 
 
 def check_work(routine: str, work: int, guard: int) -> None:
@@ -283,7 +284,7 @@ def residues(chain: CodeChain) -> ResidueSet:
     candidates = tuple(
         tuple(b << level for b in w)
         for level, code in enumerate(chain.codes)
-        for w in echelon_basis(code)
+        for w in code.basis
     )
     return ResidueSet(n=n, modulus=chain.modulus, residues=pts, candidates=candidates)
 
@@ -352,11 +353,13 @@ def points_in_box(chain: CodeChain, lo: Sequence[int], hi: Sequence[int]) -> lis
 def cw_members(chain: CodeChain, center: Sequence[int], offset: Sequence[int]) -> list[Point]:
     """Members y with |y_j - center_j| == |offset_j| for every j, sorted lexicographically.
 
-    Each coordinate has one candidate value (offset 0) or two, so at most 2^n
-    sign patterns are tested by membership; no search radius is involved.
+    Each coordinate has one candidate value (offset 0) or two, so 2^k sign
+    patterns are tested by membership, k the number of nonzero offsets; no
+    search radius is involved.
     """
     n = chain.n
     if len(center) != n or len(offset) != n:
         raise ValueError(f"center and offset must have length {n}")
+    check_work("cw_members", 1 << sum(e != 0 for e in offset), MAX_SIGN_PATTERNS)
     axes = [(c,) if e == 0 else (c - abs(e), c + abs(e)) for c, e in zip(center, offset)]
     return [y for y in itertools.product(*axes) if contains(chain, y)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -53,7 +54,7 @@ def unpack(v: int, n: int) -> Word:
 
 
 class SpanTracker:
-    """Incremental row echelon over F2 for rank and span-membership tests."""
+    """Incremental row echelon over F2: the rank, and whether a word enlarges the span."""
 
     def __init__(self, n: int):
         self.n = n
@@ -78,19 +79,6 @@ class SpanTracker:
             return False
         self._rows[v.bit_length() - 1] = v
         return True
-
-    def contains(self, w: Word) -> bool:
-        return self._reduce(pack(w)) == 0
-
-
-def rank_of(words: Iterable[Word]) -> int:
-    """F2 rank of a collection of equal-length words."""
-    tracker: SpanTracker | None = None
-    for w in words:
-        if tracker is None:
-            tracker = SpanTracker(len(w))
-        tracker.add(w)
-    return tracker.rank if tracker is not None else 0
 
 
 @dataclass(frozen=True)
@@ -119,6 +107,12 @@ class BinaryCode:
 
     def sorted_words(self) -> list[Word]:
         return sorted(self.words)
+
+    @cached_property
+    def basis(self) -> tuple[Word, ...]:
+        """A spanning subset of the code's words, chosen in lexicographic order."""
+        tracker = SpanTracker(self.n)
+        return tuple(w for w in self.sorted_words() if tracker.add(w))
 
     def __contains__(self, w: Word) -> bool:
         return w in self.words
@@ -154,12 +148,10 @@ def span(generators: Iterable[Iterable[int]], n: int | None = None) -> BinaryCod
 def is_linear(code: BinaryCode) -> bool:
     """True iff the word set is an F2-subspace.
 
-    A finite word set equals its own span exactly when its size is 2^rank.
+    A finite word set lies in its span of 2^rank words, so it equals that
+    span exactly when its size is 2^rank.
     """
-    size = code.size
-    if size & (size - 1):
-        return False
-    return size == 1 << rank_of(code.words)
+    return code.size == 1 << len(code.basis)
 
 
 def is_nested(inner: BinaryCode, outer: BinaryCode) -> bool:
@@ -186,25 +178,16 @@ def schur_closed_chain(chain) -> tuple[bool, tuple[int, Word, Word] | None]:
             raise ValueError("Schur closure is only defined for linear chains")
     for level in range(len(codes) - 1):
         lower, upper = codes[level], codes[level + 1]
-        basis = echelon_basis(lower)
+        basis = lower.basis
         # The product is bilinear over F2, so basis pairs decide closure.
         if all(schur(x, y) in upper.words for x in basis for y in basis):
             continue
-        for x in lower.sorted_words():
-            for y in lower.sorted_words():
+        words = lower.sorted_words()
+        for x in words:
+            for y in words:
                 if schur(x, y) not in upper.words:
                     return False, (level + 1, x, y)
     return True, None
-
-
-def echelon_basis(code: BinaryCode) -> list[Word]:
-    """A spanning subset of the code's words, chosen in lexicographic order."""
-    tracker = SpanTracker(code.n)
-    basis: list[Word] = []
-    for w in code.sorted_words():
-        if tracker.add(w):
-            basis.append(w)
-    return basis
 
 
 def _span_set(gens: Sequence[Word], n: int) -> frozenset[Word]:

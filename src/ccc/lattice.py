@@ -144,8 +144,10 @@ def select_nested_basis(chain: CodeChain) -> NestedBasis:
     rows: list[Word] = []
     dims: list[int] = []
     for code in chain.codes:
-        k = code.size.bit_length() - 1
-        for w in code.sorted_words():
+        # A word the code's own scan skips lies in the span of earlier words,
+        # which the tracker already spans, so the code's basis suffices.
+        k = len(code.basis)
+        for w in code.basis:
             if tracker.rank == k:
                 break
             if tracker.add(w):

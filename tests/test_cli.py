@@ -177,8 +177,13 @@ def test_gu_search_guard_after_spectra_is_input_error(capsys):
     assert err == "error: gu_subgroup_search: work 81749606400 exceeds the guard of 46080\n"
 
 
+def text_stdin(text: str) -> io.TextIOWrapper:
+    """A stand-in for sys.stdin that, like the real one, has a byte buffer."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()))
+
+
 def test_huge_length_is_input_error(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("n 1000000000000\nL 1\ncode 1 generator\n"))
+    monkeypatch.setattr("sys.stdin", text_stdin("n 1000000000000\nL 1\ncode 1 generator\n"))
     code, out, err = run_cli(capsys, "info", "-")
     assert code == 2 and out == ""
     assert err == "error: code length must be in 1..24, got 1000000000000\n"
@@ -204,6 +209,16 @@ def test_euclidean_partner_shell_guard_is_input_error(capsys):
     assert err == "error: euclidean_partner_all: work 32001649 exceeds the guard of 10000000\n"
 
 
+def test_sign_pattern_guard_is_input_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", text_stdin(f"n 21\nL 1\ncode 1 generator\n{'1' * 21}\n"))
+    zeros, ones = ",".join("0" * 21), ",".join("1" * 21)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "partner", "-", "--mode", "cw-brute", "--x", zeros, "--y", ones, "--xp", zeros)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: cw_members: work 2097152 exceeds the guard of 1048576\n"
+
+
 def test_chain_file_and_stdin(capsys, tmp_path, monkeypatch):
     text = "n 1\nL 3\ncode 1 explicit\n0\n1\ncode 2 explicit\n0\n1\ncode 3 explicit\n0\n"
     path = tmp_path / "chain.txt"
@@ -211,7 +226,7 @@ def test_chain_file_and_stdin(capsys, tmp_path, monkeypatch):
     code, report = run_json(capsys, "info", str(path))
     assert code == 0 and report["results"]["residue_count"] == 4
 
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    monkeypatch.setattr("sys.stdin", text_stdin(text))
     code, report = run_json(capsys, "info", "-")
     assert code == 0 and report["results"]["L"] == 3
 
@@ -347,7 +362,7 @@ def deep_chain_text() -> str:
 )
 def test_deep_chain_reports(capsys, monkeypatch, argv, exit_code, results):
     # nothing in the spectrum path may be sized by the modulus 2^40
-    monkeypatch.setattr("sys.stdin", io.StringIO(deep_chain_text()))
+    monkeypatch.setattr("sys.stdin", text_stdin(deep_chain_text()))
     start = time.perf_counter()
     code, report = run_json(capsys, *argv, "-")
     assert time.perf_counter() - start < 1.0
@@ -373,9 +388,11 @@ def test_internal_key_error_is_not_an_input_error(monkeypatch):
         main(["info", "--preset", "example1"])
 
 
-def ccc_process(*argv: str, **kwargs) -> subprocess.Popen:
+def ccc_process(*argv: str, locale: str | None = None, **kwargs) -> subprocess.Popen:
     src = str(Path(ccc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    if locale is not None:
+        env["LC_ALL"] = locale
     return subprocess.Popen([sys.executable, "-m", "ccc.cli", *argv], env=env, stderr=subprocess.PIPE, **kwargs)
 
 
@@ -395,3 +412,11 @@ def test_closed_stdin_is_input_error():
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 2 and out == b""
     assert err == b"error: -: stdin is closed\n"
+
+
+def test_non_utf8_stdin_is_input_error():
+    # under the C locale the text layer of stdin would let the bytes through as surrogates
+    proc = ccc_process("info", "-", locale="C", stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    out, err = proc.communicate(b"\xff\xfe", timeout=60)
+    assert proc.returncode == 2 and out == b""
+    assert err == b"error: -: not valid UTF-8 (byte 0: invalid start byte)\n"

@@ -5,10 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ccc.f2 import (
+    SpanTracker,
     code_from_words,
     is_linear,
     is_nested,
-    rank_of,
     schur,
     schur_closed_chain,
     span,
@@ -94,8 +94,26 @@ def test_span_size_is_power_of_rank(gens):
     if not gens:
         return
     code = span(gens)
-    assert code.size == 1 << rank_of(gens)
+    tracker = SpanTracker(len(gens[0]))
+    for g in gens:
+        tracker.add(g)
+    assert code.size == 1 << tracker.rank
     assert is_linear(code)
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(words_of(n), min_size=1, max_size=12)))
+def test_basis_is_a_sorted_independent_spanning_subset(rows):
+    code = code_from_words(rows)
+    basis = code.basis
+    assert list(basis) == sorted(basis)
+    assert set(basis) <= code.words
+    tracker = SpanTracker(code.n)
+    for w in basis:
+        tracker.add(w)
+    assert tracker.rank == len(basis)
+    assert not any(tracker.add(w) for w in code.words)
+    if is_linear(code):
+        assert span(basis, n=code.n).words == code.words
 
 
 def test_is_linear_examples():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from ccc.constellation import CodeChain, ResidueSet, residues
-from ccc.f2 import code_from_words, span
+from ccc.f2 import SpanTracker, code_from_words, span
 from ccc.lattice import (
     combination_residues,
     construction_d,
@@ -248,6 +248,23 @@ def test_equivalence_report_fixed_chains(e1, e5):
     rep = equivalence_report(e1)
     assert rep.flags() == (False, False, False, False)
     assert rep.consistent
+
+
+def test_equivalence_report_eliminates_each_code_once(monkeypatch):
+    """Every code's words go through one F2 elimination; the nested basis adds its rows and the unit words."""
+    residues.cache_clear()
+    chain = dplus_chain(8)
+    adds = [0]
+    add = SpanTracker.add
+
+    def spy(self, w):
+        adds[0] += 1
+        return add(self, w)
+
+    monkeypatch.setattr(SpanTracker, "add", spy)
+    assert equivalence_report(chain).verdict
+    dims = sum(code.size.bit_length() - 1 for code in chain.codes)
+    assert adds[0] <= sum(code.size for code in chain.codes) + dims + chain.n
 
 
 def test_equivalence_exhaustive_two_level_n2():

@@ -143,6 +143,12 @@ def test_cw_count_matches_sign_loop(chain, data):
     assert cw_count(chain, x, e) == sum(contains(chain, y) for y in sign_candidates(x, e))
 
 
+def test_cw_count_sign_pattern_guard():
+    chain = CodeChain.of(span([(1,) * 21]))
+    with pytest.raises(ValueError, match=r"^cw_members: work 2097152 exceeds the guard of 1048576$"):
+        cw_count(chain, (0,) * 21, (1,) * 21)
+
+
 def test_cw_count_requires_member(e3):
     with pytest.raises(ValueError):
         cw_count(e3, (6,), (1,))
