@@ -6,9 +6,8 @@ import re
 
 from .constellation import CodeChain
 from .f2 import code_from_words, span
-from .quantizer import dplus_chain
 
-_DPLUS = re.compile(r"^dplus(\d+)$")
+_DPLUS = re.compile(r"dplus(0|[1-9][0-9]*)")  # ASCII digits, no leading zero: one spelling per chain
 
 
 def example1() -> CodeChain:
@@ -31,8 +30,10 @@ def example5() -> CodeChain:
 def get_preset(name: str) -> CodeChain:
     if name in _FIXED:
         return _FIXED[name]()
-    m = _DPLUS.match(name)
+    m = _DPLUS.fullmatch(name)
     if m:
+        from .quantizer import dplus_chain
+
         return dplus_chain(int(m.group(1)))
     raise ValueError(f"unknown preset {name!r}; see 'ccc presets'")
 

@@ -118,6 +118,11 @@ def eds_check(chain: CodeChain, r2max: int) -> tuple[bool, EdsWitness | None]:
     return True, None
 
 
+def default_eds_radius(chain: CodeChain) -> int:
+    """Four squared periods: several shells beyond the minimum distance at desk scale."""
+    return 4 * chain.modulus ** 2
+
+
 def kissing_stats(chain: CodeChain) -> tuple[int, set[int]]:
     """Global minimum squared distance and the set of per-member counts there.
 

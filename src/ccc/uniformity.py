@@ -23,7 +23,7 @@ from math import comb, factorial, isqrt
 from typing import Iterable, Sequence
 
 from .constellation import CodeChain, Point, ResidueSet, check_work, contains, cw_members, decompose, residues
-from .spectrum import EdsWitness, cw_equidistant, eds_check
+from .spectrum import EdsWitness, cw_equidistant, default_eds_radius, eds_check
 
 MAX_SEARCH_CANDIDATES = 2**6 * 720  # signed permutations 2^n * n!, so n <= 6
 MAX_SHELL_STEPS = 10**7  # shell-walk ends of the Euclidean partner search, estimated before it starts
@@ -163,11 +163,6 @@ def _first_symmetry(rs: ResidueSet, x: Point) -> tuple[tuple[int, ...], tuple[in
             if rs.maps_onto(x, perm, signs):
                 return perm, signs
     return None
-
-
-def default_eds_radius(chain: CodeChain) -> int:
-    """Four squared periods: several shells beyond the minimum distance at desk scale."""
-    return 4 * chain.modulus ** 2
 
 
 @dataclass(frozen=True)

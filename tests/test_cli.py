@@ -171,6 +171,15 @@ def test_presets_listing(capsys):
         assert name in out
 
 
+@pytest.mark.parametrize(
+    "name", ["dplus٣", "dplus3\n", "dplus003"], ids=["arabic-indic-digit", "trailing-newline", "leading-zeros"]
+)
+def test_non_canonical_preset_name_is_unknown(capsys, name):
+    code, out, err = run_cli(capsys, "info", "--preset", name, "--format", "json")
+    assert code == 2 and out == ""
+    assert err == f"error: unknown preset {name!r}; see 'ccc presets'\n"
+
+
 def test_gu_search_guard_after_spectra_is_input_error(capsys):
     code, out, err = run_cli(capsys, "gu-search", "--preset", "dplus11")
     assert code == 2 and out == ""

@@ -1,13 +1,18 @@
-"""Cold start: only nsm loads numpy and the thread pool.
+"""Cold start: ``import ccc`` loads no submodule, each command loads only the
+modules it runs, and only nsm loads numpy and the thread pool.
 
-conftest.py imports numpy, so the check runs in a fresh interpreter.
+conftest.py imports numpy and most of ``ccc``, so the checks run in fresh
+interpreters.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ccc
 
@@ -68,18 +73,132 @@ NSM_REPORT = """{
 """
 
 
-def test_only_nsm_loads_numpy_and_the_thread_pool():
+def fresh_python(script: str, *args) -> dict:
+    """What ``script`` prints as JSON, run with JSON ``args`` in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     env.pop("CCC_THREADS", None)
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, json.dumps(EXACT_COMMANDS), json.dumps(NSM)],
+        [sys.executable, "-c", script, *map(json.dumps, args)],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_only_nsm_loads_numpy_and_the_thread_pool():
+    out = fresh_python(SCRIPT, EXACT_COMMANDS, NSM)
     assert out["after_import"] == []
     assert out["exact"] == [[argv[0], 1 if argv[0] == "lattice" else 0, []] for argv in EXACT_COMMANDS]
     assert out["nsm"] == [[0, NSM_REPORT], [0, NSM_REPORT]]
     assert "numpy" in out["after_nsm"]
     # three batches at --threads 2 start a pool wherever there is a second core
     assert ("concurrent.futures" in out["after_nsm"]) == ((os.cpu_count() or 1) > 1)
+
+
+LOADED = """
+import contextlib, io, json, sys
+import ccc
+argv = json.loads(sys.argv[1])
+code = None
+if argv is not None:
+    import ccc.cli
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = ccc.cli.main(argv)
+print(json.dumps({"code": code, "modules": sorted(m for m in sys.modules if m.split(".")[0] == "ccc")}))
+"""
+
+# Submodules each command must not load, and its exit code.
+NOT_LOADED = [
+    (["presets"], 0, {"lattice", "uniformity", "quantizer", "chainfile"}),
+    (["lattice", "--preset", "dplus5"], 1, {"uniformity"}),
+    (["theorem1", "--preset", "dplus4"], 0, {"uniformity"}),
+    (["eds", "--preset", "dplus5"], 0, {"lattice", "uniformity"}),
+    (["spectrum", "--preset", "example3", "--center", "1", "--r2max", "16"], 0, {"lattice", "uniformity"}),
+    (["gu", "--preset", "dplus5"], 0, {"lattice"}),
+    (["gu-search", "--preset", "example1"], 0, {"lattice"}),
+    (["nsm", "--preset", "dplus4", "--samples", "20000"], 0, {"lattice", "uniformity"}),
+]
+
+
+def test_import_ccc_loads_no_submodule():
+    assert fresh_python(LOADED, None)["modules"] == ["ccc"]
+
+
+@pytest.mark.parametrize("argv, code, absent", NOT_LOADED, ids=[argv[0] for argv, _, _ in NOT_LOADED])
+def test_each_command_loads_only_its_modules(argv, code, absent):
+    out = fresh_python(LOADED, argv)
+    assert out["code"] == code
+    assert sorted({f"ccc.{m}" for m in absent} & set(out["modules"])) == []
+
+
+def test_cli_loads_the_modules_the_benchmark_cache_meter_reads():
+    # perfbench/run.py's CacheMeter reads both from sys.modules right after importing ccc.cli
+    assert {"ccc.constellation", "ccc.spectrum"} <= set(fresh_python(LOADED, [])["modules"])
+
+
+# The package's public names, by defining module, as the eager-import build exported them.
+PUBLIC = {
+    "constellation": [
+        "CodeChain", "Point", "ResidueSet", "contains", "cw_members", "decompose", "points_in_box", "residues",
+    ],
+    "f2": [
+        "BinaryCode", "Word", "code_from_words", "is_linear", "is_nested", "schur", "schur_closed_chain", "span",
+        "xor_add",
+    ],
+    "lattice": [
+        "EquivalenceReport", "IntegerLattice", "NestedBasis", "construction_d", "equivalence_report", "hnf",
+        "is_lattice_direct", "select_nested_basis", "smallest_lattice",
+    ],
+    "quantizer": ["NsmEstimate", "covolume", "dplus_chain", "nearest", "nsm_estimate"],
+    "spectrum": [
+        "EdsWitness", "SpectrumTable", "cw_count", "cw_equidistant", "eds_check", "kissing_stats", "spectrum_at",
+    ],
+    "uniformity": [
+        "GuSearchResult", "GuTwoLevelResult", "IsometryCandidate", "PartnerTrace", "ReflectionMap",
+        "euclidean_partner_all", "euclidean_partner_bruteforce", "gu_check_two_level", "gu_subgroup_search",
+        "partner_bruteforce", "partner_construct", "reflection_for",
+    ],
+}
+PUBLIC_NAMES = {name for names in PUBLIC.values() for name in names}
+
+
+def test_public_names_are_the_defining_modules_objects():
+    assert len(PUBLIC_NAMES) == 50
+    for module, names in PUBLIC.items():
+        mod = importlib.import_module(f"ccc.{module}")
+        for name in names:
+            assert getattr(ccc, name) is getattr(mod, name), name
+    assert ccc.__version__ == "0.1.0"
+
+
+def test_star_import_and_dir_list_the_public_names():
+    namespace: dict = {}
+    exec("from ccc import *", namespace)
+    assert set(namespace) - {"__builtins__"} == PUBLIC_NAMES
+    assert PUBLIC_NAMES | {"__version__"} <= set(dir(ccc))
+
+
+def test_unknown_name_is_an_attribute_error():
+    assert not hasattr(ccc, "nosuch")
+    with pytest.raises(AttributeError) as info:
+        ccc.nosuch
+    assert not isinstance(info.value, ImportError)
+
+
+FIRST_READ = """
+import json, sys
+import ccc
+before = ["eds_check" in vars(ccc), "ccc.spectrum" in sys.modules]
+module = ccc.spectrum
+fn = ccc.eds_check
+print(json.dumps({
+    "before": before,
+    "module": module is sys.modules["ccc.spectrum"],
+    "stored": vars(ccc).get("eds_check") is fn is module.eds_check,
+}))
+"""
+
+
+def test_first_read_imports_the_module_and_stores_the_name():
+    assert fresh_python(FIRST_READ) == {"before": [False, False], "module": True, "stored": True}
