@@ -12,7 +12,8 @@ scan takes seconds, most of it in the exact columns of the largest n.
 import argparse
 
 from ccc.lattice import equivalence_report
-from ccc.quantizer import dplus_chain, nsm_estimate
+from ccc.presets import dplus_chain
+from ccc.quantizer import nsm_estimate
 from ccc.uniformity import gu_check_two_level
 
 

@@ -23,7 +23,8 @@ _EXPORTS = {
         "EquivalenceReport", "IntegerLattice", "NestedBasis", "construction_d", "equivalence_report", "hnf",
         "is_lattice_direct", "select_nested_basis", "smallest_lattice",
     ),
-    "quantizer": ("NsmEstimate", "covolume", "dplus_chain", "nearest", "nsm_estimate"),
+    "presets": ("dplus_chain",),
+    "quantizer": ("NsmEstimate", "covolume", "nearest", "nsm_estimate"),
     "spectrum": (
         "EdsWitness", "SpectrumTable", "cw_count", "cw_equidistant", "eds_check", "kissing_stats", "spectrum_at",
     ),

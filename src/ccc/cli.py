@@ -110,7 +110,7 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
     from .chainfile import format_chain
 
     if args.command == "dplus":
-        from .quantizer import dplus_chain
+        from .presets import dplus_chain
 
         return EXIT_OK, format_chain(dplus_chain(args.n))
     if args.fmt == "tsv" and args.command != "spectrum":

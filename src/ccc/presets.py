@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 from .constellation import CodeChain
-from .f2 import code_from_words, span
+from .f2 import _check_length, code_from_words, span
 
 _DPLUS = re.compile(r"dplus(0|[1-9][0-9]*)")  # ASCII digits, no leading zero: one spelling per chain
 
@@ -27,13 +27,29 @@ def example5() -> CodeChain:
     return CodeChain.of(code, code, code)
 
 
+def dplus_chain(n: int) -> CodeChain:
+    """Two-level chain of the length-n repetition code and even-weight code.
+
+    A lattice exactly when n is even; for odd n it is a non-lattice
+    tessellation with better quantization efficiency than the cube in
+    moderate dimensions.
+    """
+    if n < 2:
+        raise ValueError(f"dimension must be at least 2, got {n}")
+    _check_length(n)  # before any length-n word is built
+    repetition = span([(1,) * n])
+    parity_rows = [
+        tuple(1 if j in (i, i + 1) else 0 for j in range(n)) for i in range(n - 1)
+    ]
+    even_weight = span(parity_rows)
+    return CodeChain.of(repetition, even_weight)
+
+
 def get_preset(name: str) -> CodeChain:
     if name in _FIXED:
         return _FIXED[name]()
     m = _DPLUS.fullmatch(name)
     if m:
-        from .quantizer import dplus_chain
-
         return dplus_chain(int(m.group(1)))
     raise ValueError(f"unknown preset {name!r}; see 'ccc presets'")
 

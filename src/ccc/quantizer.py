@@ -7,11 +7,21 @@ soft-decision decoding of the top code CL: each coordinate has a cost for an
 even and for an odd top digit, and the codeword with the least total cost
 wins.  It is found by Wagner's rule when CL is the even-weight code (the D_n
 decoder of Conway & Sloane, IEEE IT-28, 1982), and otherwise by scoring
-every codeword in blocks of fixed size.  The distance of each coset's winner
-is recomputed from its residue with the folded per-coordinate formula, so the
-result equals the minimum over all residues.  The scalar nearest() is the
+every codeword in blocks of fixed size.  The scalar nearest() is the
 reference: it lifts every residue to its best translate, which also settles
 exact ties by the lexicographic order of the points.
+
+The samples are random() * 2^L, so they are multiples of 2^(L-53) in
+[0, 2^L), and every difference the decoder takes is exact in float64.  The
+folded distance d from a coordinate to the even digit c is therefore exact,
+and half - d is bit for bit the folded distance to the odd digit c + half,
+the antipode of c mod 2^L.  Each coset's winner thus has the per-coordinate
+distances of its residue.  Their squares are summed by einsum over
+row-major (sample, coordinate) rows: numpy sums a row's n products in a
+fixed SIMD-lane order, not left to right, so the rows must keep that layout
+for the sum to equal a scan over all residues.  The decoding works on
+blocks of ROW_BLOCK samples held coordinate-major, one long row per
+coordinate, and transposes back only for that sum.
 
 The normalized second moment (NSM) is estimated by quantizing seeded uniform
 samples from one period cube with the coset decoder; the cell volume is the
@@ -33,14 +43,16 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
 from .constellation import CodeChain, Point, check_work, residues
-from .f2 import BinaryCode, _check_length, span
+from .f2 import BinaryCode
 from .parallel import ordered_map
+from .presets import dplus_chain  # noqa: F401  re-exported as ccc.quantizer.dplus_chain
 
 if TYPE_CHECKING:
     import numpy as np
 
 SAMPLE_BATCH = 8192  # fixed batch size keeps the sample stream independent of threading
 BLOCK_BYTES = 1 << 20  # one (rows x codewords) score block of the general top-code search
+ROW_BLOCK = 2048  # samples decoded together: a block's (n x ROW_BLOCK) buffers stay in cache
 # Work guard, in samples x lower words x per-sample top-code decoding steps.
 # The per-residue decoder it replaced made at least this many steps, at about
 # 2e8 per second, so a refused run would have taken it over half a day.
@@ -102,58 +114,75 @@ class _CosetDecoder:
         lower, n = self.shifts.shape
         return samples * lower * n * (1 if self.top is None else len(self.top))
 
-    def costs(self, w: np.ndarray, c: np.ndarray) -> np.ndarray:
-        """Per coordinate, an odd top digit's squared distance less an even one's, over half.
+    def top_index(self, delta: np.ndarray) -> np.ndarray:
+        """Per row of delta, the index of the first top codeword x with the least delta @ x."""
+        import numpy as np
 
-        With d the folded distance from w (in [0, m]) to c, the odd digit's
-        distance is half - d, and (half - d)^2 - d^2 = half * (half - 2d).
+        # score the codewords in blocks of about BLOCK_BYTES
+        rows = max(1, BLOCK_BYTES // (8 * (len(delta) + self.top.shape[1])))
+        arg = best = None
+        for start in range(0, len(self.top), rows):
+            block = delta @ self.top[start : start + rows].T.astype(np.float64)
+            j, v = block.argmin(axis=1), block.min(axis=1)
+            if arg is None:
+                arg, best = j, v
+            else:
+                better = v < best
+                best[better] = v[better]
+                arg[better] = start + j[better]
+        return arg
+
+    def distances(self, w: np.ndarray) -> np.ndarray:
+        """Squared distance from each row of w (in [0, m)^n) to the constellation.
+
+        The rows go in blocks of ROW_BLOCK, each held coordinate-major (one
+        row of samples per coordinate), so every step but the last is a
+        long vector operation.
         """
         import numpy as np
 
-        d = np.abs(w - c)
-        np.minimum(d, self.modulus - d, out=d)
-        d *= -2.0
-        d += self.half
-        return d
-
-    def top_words(self, delta: np.ndarray) -> np.ndarray:
-        """Per row of delta, the top codeword x with the least delta @ x."""
-        import numpy as np
-
-        if self.top is None:  # Wagner's rule: on odd weight flip the least reliable digit
-            x = delta < 0
-            odd = np.flatnonzero(np.count_nonzero(x, axis=1) & 1)
-            x[odd, np.abs(delta[odd]).argmin(axis=1)] ^= True
-            return x
-        # score the codewords in blocks of about BLOCK_BYTES
-        rows = max(1, BLOCK_BYTES // (8 * (len(delta) + self.top.shape[1])))
-        best = np.full(len(delta), np.inf)
-        arg = np.zeros(len(delta), dtype=np.intp)
-        for start in range(0, len(self.top), rows):
-            block = delta @ self.top[start : start + rows].T.astype(np.float64)
-            j = block.argmin(axis=1)
-            v = block[np.arange(len(j)), j]
-            better = v < best
-            best[better] = v[better]
-            arg[better] = start + j[better]
-        return self.top[arg]
-
-    def distances(self, w: np.ndarray) -> np.ndarray:
-        """Squared distance from each row of w (in [0, m)^n) to the constellation."""
-        import numpy as np
-
-        m = self.modulus
-        best: np.ndarray | None = None
-        for c in self.shifts:
-            s = np.where(self.top_words(self.costs(w, c)), c + self.half, c)
-            # w and s live in [0, m), so the distance to the nearest period
-            # translate folds per coordinate: min(|d|, m - |d|).
-            diff = np.abs(w - s)
-            np.minimum(diff, m - diff, out=diff)
-            d2 = np.einsum("bn,bn->b", diff, diff)
-            best = d2 if best is None else np.minimum(best, d2, out=best)
-        assert best is not None
-        return best
+        n = w.shape[1]
+        half = self.half
+        out = np.empty(len(w))
+        for start in range(0, len(w), ROW_BLOCK):
+            wt = np.ascontiguousarray(w[start : start + ROW_BLOCK].T)
+            d, e, diff = np.empty_like(wt), np.empty_like(wt), np.empty_like(wt)
+            x = np.empty(wt.shape, dtype=bool)
+            rows, d2 = np.empty(wt.shape[::-1]), np.empty(wt.shape[1])
+            best = out[start : start + wt.shape[1]]
+            for i, c in enumerate(self.shifts):
+                # d = fold|w - c|, the distance to an even top digit; e = half - d is
+                # the distance to an odd one, since c + half is c's antipode mod m
+                np.subtract(wt, c[:, None], out=d)
+                np.abs(d, out=d)
+                np.subtract(self.modulus, d, out=e)
+                np.minimum(d, e, out=d)
+                np.subtract(half, d, out=e)
+                if self.top is None:
+                    # Wagner's rule: the nearer digit per coordinate; on odd weight,
+                    # flip the first coordinate whose two digits are nearest a tie
+                    np.greater(d, half / 2, out=x)
+                    odd = np.flatnonzero(np.logical_xor.reduce(x, axis=0))
+                    np.minimum(d, e, out=diff)
+                    np.copyto(rows, diff.T)
+                    flat = rows.reshape(-1)
+                    at = odd * n + rows[odd].argmax(axis=1)
+                    flat[at] = half - flat[at]
+                else:
+                    np.subtract(e, d, out=diff)  # half - 2 * d: odd cost less even cost, over half
+                    np.copyto(rows, diff.T)
+                    np.take(self.top.T, self.top_index(rows), axis=1, out=x, mode="clip")
+                    np.copyto(diff, d)
+                    np.copyto(diff, e, where=x)
+                    np.copyto(rows, diff.T)
+                # einsum sums each row's n products in a fixed lane order, so the
+                # rows go back to row-major to give the per-residue scan's bits
+                if i == 0:
+                    np.einsum("bn,bn->b", rows, rows, out=best)
+                else:
+                    np.einsum("bn,bn->b", rows, rows, out=d2)
+                    np.minimum(best, d2, out=best)
+        return out
 
 
 def nearest(chain: CodeChain, w: Sequence[float]) -> Point:
@@ -236,21 +265,3 @@ def nsm_estimate(
     return NsmEstimate(
         value=value, stderr=stderr, samples=samples, seed=seed, covolume=vol
     )
-
-
-def dplus_chain(n: int) -> CodeChain:
-    """Two-level chain of the length-n repetition code and even-weight code.
-
-    A lattice exactly when n is even; for odd n it is a non-lattice
-    tessellation with better quantization efficiency than the cube in
-    moderate dimensions.
-    """
-    if n < 2:
-        raise ValueError(f"dimension must be at least 2, got {n}")
-    _check_length(n)  # before any length-n word is built
-    repetition = span([(1,) * n])
-    parity_rows = [
-        tuple(1 if j in (i, i + 1) else 0 for j in range(n)) for i in range(n - 1)
-    ]
-    even_weight = span(parity_rows)
-    return CodeChain.of(repetition, even_weight)

@@ -298,26 +298,31 @@ def nested_basis_by_word_scan(chain: CodeChain) -> tuple[Word, ...]:
     return tuple(rows)
 
 
+def residue_scan(chain: CodeChain, w: np.ndarray) -> np.ndarray:
+    """Slow path of the coset decoder: per row of w (in [0, m)^n), the least
+    squared folded distance to any residue."""
+    m = chain.modulus
+    best: np.ndarray | None = None
+    for s in np.array(sorted(residues(chain).residues), dtype=np.float64):
+        diff = np.abs(w - s)
+        np.minimum(diff, m - diff, out=diff)
+        d2 = np.einsum("bn,bn->b", diff, diff)
+        best = d2 if best is None else np.minimum(best, d2, out=best)
+    assert best is not None
+    return best
+
+
 def nsm_oracle(chain: CodeChain, samples: int, seed: int, batch: int) -> tuple[float, float]:
     """Slow path of nsm_estimate: one (samples, n) draw, then every sample
     against every residue, in batches of the given size."""
     n = chain.n
     m = chain.modulus
     norm = n * float(Fraction(m**n, chain.residue_count())) ** (2.0 / n)
-    coset = np.array(sorted(residues(chain).residues), dtype=np.float64)
     draws = np.random.Generator(np.random.Philox(key=seed)).random((samples, n)) * m
     total: list[float] = []
     total_sq: list[float] = []
     for i in range(0, samples, batch):
-        w = draws[i : i + batch]
-        best: np.ndarray | None = None
-        for s in coset:
-            diff = np.abs(w - s)
-            np.minimum(diff, m - diff, out=diff)
-            d2 = np.einsum("bn,bn->b", diff, diff)
-            best = d2 if best is None else np.minimum(best, d2, out=best)
-        assert best is not None
-        g = best / norm
+        g = residue_scan(chain, draws[i : i + batch]) / norm
         total.append(float(g.sum()))
         total_sq.append(float((g * g).sum()))
     value = math.fsum(total) / samples

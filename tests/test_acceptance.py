@@ -12,8 +12,8 @@ from ccc.cli import main
 from ccc.constellation import CodeChain, contains, residues
 from ccc.f2 import code_from_words
 from ccc.lattice import equivalence_report, is_lattice_direct
-from ccc.presets import example1, example3, example5
-from ccc.quantizer import dplus_chain, nsm_estimate
+from ccc.presets import dplus_chain, example1, example3, example5
+from ccc.quantizer import nsm_estimate
 from ccc.spectrum import cw_equidistant, eds_check, kissing_stats
 from ccc.uniformity import (
     euclidean_partner_all,

@@ -16,7 +16,7 @@ from ccc.constellation import (
     residues,
 )
 from ccc.f2 import code_from_words, span
-from ccc.quantizer import dplus_chain
+from ccc.presets import dplus_chain
 
 from conftest import (
     first_failing_pair,

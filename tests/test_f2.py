@@ -16,7 +16,7 @@ from ccc.f2 import (
     xor_add,
     zero_word,
 )
-from ccc.quantizer import dplus_chain
+from ccc.presets import dplus_chain
 
 from conftest import random_linear_code
 

@@ -15,7 +15,7 @@ from ccc.lattice import (
     select_nested_basis,
     smallest_lattice,
 )
-from ccc.quantizer import dplus_chain
+from ccc.presets import dplus_chain
 
 from conftest import (
     all_subspaces,

@@ -1,27 +1,29 @@
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccc.chainfile import parse_chain
 from ccc.constellation import CodeChain, contains, points_in_box
 from ccc.f2 import code_from_words, span
-from ccc.presets import example1, example5
+from ccc.presets import dplus_chain, example1, example5
 from ccc.quantizer import (
     MAX_DECODE_WORK,
+    ROW_BLOCK,
     SAMPLE_BATCH,
     _CosetDecoder,
     _draws,
     covolume,
-    dplus_chain,
     nearest,
     nsm_estimate,
 )
 
-from conftest import nsm_oracle, random_nested_chain, small_chains
+from conftest import nsm_oracle, random_nested_chain, residue_scan, small_chains
 
 
 def test_nearest_integer_rounding():
@@ -197,6 +199,48 @@ def test_nsm_branches_match_per_residue_oracle(wagner, chain):
     samples = 2 * SAMPLE_BATCH + 777
     est = nsm_estimate(chain, samples, seed=77, threads=2)
     assert (est.value, est.stderr) == nsm_oracle(chain, samples, 77, SAMPLE_BATCH)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(small_chains(), st.sampled_from([chain for _, chain in BRANCH_CHAINS.values()])),
+    st.integers(1, 3),
+    st.integers(1, ROW_BLOCK - 1),
+    st.integers(0, 2**32),
+)
+def test_coset_decoder_distances_equal_residue_scan_bits(chain, blocks, tail, seed):
+    # whole row blocks plus a ragged tail, on the sample grid nsm_estimate draws from
+    w = _draws(seed, 0, blocks * ROW_BLOCK + tail, chain.n) * chain.modulus
+    assert np.array_equal(_CosetDecoder.of(chain).distances(w), residue_scan(chain, w))
+
+
+@pytest.mark.parametrize("L", [1, 3, 10])
+def test_scaled_draws_lie_on_the_exact_grid(L):
+    # random() returns k / 2^53, so a sample times 2^L is a multiple of 2^(L - 53)
+    # and every fold difference in the coset decoder is exact
+    w = _draws(5, 0, 4096, 6) * 2.0**L
+    k = w * 2.0 ** (53 - L)
+    assert np.array_equal(k, np.floor(k))
+    assert ((0 <= w) & (w < 2**L)).all()
+
+
+CHAINS = Path(__file__).resolve().parent.parent / "perfbench" / "chains"
+# (chain, samples, threads, repr of value and stderr) as the row-major decoder
+# printed them for the benchmark's nsm items, all at seed 0
+PINNED_NSM = {
+    "dplus7": (dplus_chain(7), 300_000, 1, "0.07274282041321556", "3.267343044857912e-05"),
+    "dplus9": (dplus_chain(9), 100_000, 2, "0.07113806337519271", "4.54342654089478e-05"),
+    "cube4": (parse_chain((CHAINS / "cube4.chain").read_text()), 300_000, 1,
+              "0.08334452805866528", "6.807688140158073e-05"),
+    "nested6": (parse_chain((CHAINS / "nested6.chain").read_text()), 50_000, 1,
+                "0.08724377324658189", "0.00013935179238704458"),
+}
+
+
+@pytest.mark.parametrize("chain, samples, threads, value, stderr", PINNED_NSM.values(), ids=PINNED_NSM.keys())
+def test_nsm_pinned_at_benchmark_scale(chain, samples, threads, value, stderr):
+    est = nsm_estimate(chain, samples, seed=0, threads=threads)
+    assert (repr(est.value), repr(est.stderr)) == (value, stderr)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from ccc import spectrum as spectrum_mod
 from ccc.constellation import CodeChain, ResidueSet, contains, residues
 from ccc.f2 import code_from_words, span
-from ccc.quantizer import dplus_chain
+from ccc.presets import dplus_chain
 from ccc.spectrum import cw_count, cw_equidistant, eds_check, kissing_stats, spectrum_at
 from ccc.uniformity import gu_subgroup_search
 

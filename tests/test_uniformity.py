@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ccc.constellation import CodeChain, contains, decompose
 from ccc.f2 import code_from_words, span
-from ccc.quantizer import dplus_chain
+from ccc.presets import dplus_chain
 from ccc.spectrum import cw_equidistant
 from ccc.uniformity import (
     ReflectionMap,
