@@ -5,6 +5,9 @@ Shows the full storyline at desk scale: a two-level non-lattice that is
 nevertheless geometrically uniform, a three-level chain whose kissing number
 varies, and a nested three-level chain where the coordinate-wise partner
 fails even though a Euclidean partner exists.
+
+The expected stdout is checked in as ``reproduce_counterexamples.expected``
+next to this script; CI diffs the two.
 """
 
 from ccc.constellation import contains, residues

@@ -29,6 +29,7 @@ T = TypeVar("T")
 
 MAX_RESIDUE_COUNT = 1 << 22
 MAX_SIGN_PATTERNS = 1 << 20  # membership tests in cw_members
+MAX_PERIOD_WORK = 10**8  # residue lookups of the period group's fixes checks
 
 
 def check_work(routine: str, work: int, guard: int) -> None:
@@ -136,8 +137,10 @@ class ResidueSet:
         by one.  No candidate is trusted unchecked (a scaled codeword need
         not fix R, because integer addition carries into the next level), and
         sums of translations that fix R fix R, so H lies in G; a set where no
-        candidate passes gets H = {0}.
+        candidate passes gets H = {0}.  Each check looks up |R| residues, so
+        the checks are guarded as len(candidates) * |R| lookups.
         """
+        check_work("period_group", len(self.candidates) * len(self), MAX_PERIOD_WORK)
         m, zero = self.modulus, (0,) * self.n
         group, members = [zero], {zero}
         for g in self.candidates:
@@ -208,31 +211,30 @@ class ResidueSet:
         )
 
     @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """The j-th coordinates of the sorted residues, one tuple per j."""
+        return tuple(zip(*self.sorted))
+
+    @cached_property
     def _fold(self) -> Callable[[int], int]:
         # one table per residue set, holding no reference back to it, so the
         # set still dies with the residues cache
         return _FoldTable(self.modulus).__getitem__
 
-    def folded_key(self, s: Point, c: Sequence[int]) -> tuple[int, ...]:
-        """The sorted coordinate distances of s - c to the nearest multiple of m.
-
-        Each distance is read from a per-set fold table filled on demand, so
-        the table holds only the differences seen and is never sized by the
-        modulus 2^L.
-        """
-        return tuple(sorted(map(self._fold, map(sub, s, c))))
-
     def key_counts(self, c: Sequence[int]) -> KeyCounts:
         """The folded keys of every residue against the center c, with multiplicities.
 
-        c is reduced mod m once, so every difference read from the fold table
-        lies strictly between -m and m.
+        A residue s's key is the sorted distances of s - c to the nearest
+        multiple of m.  They are read one column at a time from a per-set
+        fold table, filled on demand with the differences seen, so nothing is
+        sized by the modulus 2^L.  c is reduced mod m once, so every
+        difference lies strictly between -m and m.
         """
         if len(c) != self.n:
             raise ValueError(f"center has length {len(c)}, expected {self.n}")
-        m = self.modulus
-        c = tuple(x % m for x in c)
-        return frozenset(Counter(map(self.folded_key, self.sorted, repeat(c))).items())
+        m, fold = self.modulus, self._fold
+        columns = [map(fold, map(sub, column, repeat(x % m))) for column, x in zip(self._columns, c)]
+        return frozenset(Counter(map(tuple, map(sorted, zip(*columns)))).items())
 
     @cached_property
     def _class_scan(self) -> tuple[list, set[KeyCounts], Iterator[Point], threading.Lock]:

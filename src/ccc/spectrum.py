@@ -8,22 +8,23 @@ profiles are permutation-invariant, so cosets are keyed by the sorted folded
 digit vector.  Everything is integer-exact; distances are always squared.
 
 Two centers whose folded keys agree as multisets have identical spectra at
-every radius.  The residues therefore fall into spectrum classes, and the
-whole-constellation questions (equal spectra, kissing numbers) need one
-``spectrum_at`` call per class, made at the class's lexicographically first
-residue with the key multiset the class scan read there.  The multiset is the
-same at x and x + h for a period h of the residue set, so the class scan runs
-on ``ResidueSet.per_coset``'s coset representatives: |R/H| * |R| folded keys,
+every radius.  The residues therefore fall into spectrum classes.  Equal
+spectra need one ``spectrum_at`` call per class, made at the class's
+lexicographically first residue with the key multiset the class scan read
+there; kissing numbers need only each class's nearest shell, read from its
+key multiset without a table.  The multiset is the same at x and x + h for a
+period h of the residue set, so the class scan runs on
+``ResidueSet.per_coset``'s coset representatives: |R/H| * |R| folded keys,
 not |R|^2.
 
 The folded keys and the class scan are methods of ``ResidueSet``.  The scan is
 lazy and memoized on its residue set, so it runs at most once per residue set,
 whichever of ``eds_check``, ``kissing_stats`` or the isometry search asks
-first; this module keeps the work guards and builds the tables.  Each folded
-coordinate distance is read from a fold table on the residue set that is
-filled on demand with the differences the keys meet.  It is never sized by
-the modulus 2^L, so the keys of a chain with many levels cost no more than
-those of a shallow one.
+first; this module keeps the work guards and builds the tables.
+``key_counts`` reads the folded coordinate distances one coordinate column at
+a time from a fold table on the residue set, filled on demand with the
+differences the keys meet.  It is never sized by the modulus 2^L, so the keys
+of a chain with many levels cost no more than those of a shallow one.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from operator import mul
 from typing import Iterator, Sequence
 
 from .constellation import CodeChain, KeyCounts, Point, ResidueSet, check_work, contains, cw_members, residues
@@ -126,13 +128,14 @@ def default_eds_radius(chain: CodeChain) -> int:
 def kissing_stats(chain: CodeChain) -> tuple[int, set[int]]:
     """Global minimum squared distance and the set of per-member counts there.
 
-    The period translates c +/- 2^L e_j guarantee neighbors at 4^L, so that
-    radius always suffices to locate the minimum.
+    Each class's nearest shell is read from its key multiset.  The period
+    translates c +/- 2^L e_j guarantee neighbors at 4^L, so the guards are
+    those of a spectrum out to 4^L.
     """
-    r2max = chain.modulus ** 2
-    tables = [spectrum_at(chain, c, r2max, _keys=k).counts for c, k in _spectrum_classes(chain, r2max)]
-    d2min = min(min(t) for t in tables)  # every table holds the 4^L shell
-    return d2min, {t.get(d2min, 0) for t in tables}
+    m = chain.modulus
+    shells = [_nearest_shell(m, keys) for _, keys in _spectrum_classes(chain, m * m)]
+    d2min = min(d2 for d2, _ in shells)
+    return d2min, {count if d2 == d2min else 0 for d2, count in shells}
 
 
 def cw_count(chain: CodeChain, x: Sequence[int], e: Sequence[int]) -> int:
@@ -187,6 +190,27 @@ def _check_table_work(rs: ResidueSet, r2max: int) -> None:
     if r2max < 1:
         raise ValueError("r2max must be at least 1")
     check_work("spectrum enumeration", (r2max + 1) * len(rs), MAX_SPECTRUM_WORK)
+
+
+def _nearest_shell(m: int, keys: KeyCounts) -> tuple[int, int]:
+    """The least positive squared distance around a center with these keys, and its point count.
+
+    A coset with nonzero folded key k is nearest the center at sum(k_j^2),
+    where each coordinate with k_j = m/2 has two nearest values (+/- m/2) and
+    every other coordinate one.  The center's own coset, key 0, is m * Z^n,
+    with 2n points at m^2.
+    """
+    half, best, count = m // 2, m * m, 0
+    for key, mult in keys:
+        if key[-1]:  # keys are sorted, so only the zero key ends in 0
+            d2, points = sum(map(mul, key, key)), mult << key.count(half)
+        else:
+            d2, points = m * m, 2 * len(key) * mult
+        if d2 < best:
+            best, count = d2, points
+        elif d2 == best:
+            count += points
+    return best, count
 
 
 def _table_from_keys(m: int, keys: KeyCounts, r2max: int) -> dict[int, int]:

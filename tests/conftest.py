@@ -136,6 +136,15 @@ def small_chains(draw, nmax: int = 4, lmax: int = 3) -> CodeChain:
 
 
 @st.composite
+def deep_chains(draw, nmax: int = 3, lmax: int = 12) -> CodeChain:
+    """Chains of up to lmax levels, each one or two random words: at most 2^L residues, modulus up to 2^lmax."""
+    n = draw(st.integers(1, nmax))
+    word = st.integers(0, (1 << n) - 1).map(lambda v: unpack(v, n))
+    levels = draw(st.integers(1, lmax))
+    return CodeChain(codes=tuple(code_from_words(draw(st.lists(word, min_size=1, max_size=2))) for _ in range(levels)))
+
+
+@st.composite
 def nested_chains(draw, nmax: int = 7, lmax: int = 3) -> CodeChain:
     """Nested linear chains: each level spans a prefix of one random generator list."""
     n = draw(st.integers(1, nmax))
@@ -190,7 +199,7 @@ def closure_oracle(chain: CodeChain) -> bool:
 
 
 def folded_key_oracle(m: int, s: Sequence[int], c: Sequence[int]) -> tuple[int, ...]:
-    """Slow path of ResidueSet.folded_key: two reductions mod m and a min per coordinate."""
+    """Slow path of a residue's folded key in ResidueSet.key_counts: two reductions mod m and a min per coordinate."""
     return tuple(sorted(min((a - b) % m, (b - a) % m) for a, b in zip(s, c)))
 
 

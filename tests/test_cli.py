@@ -388,6 +388,42 @@ def test_deep_chain_reports(capsys, monkeypatch, argv, exit_code, results):
     }
 
 
+def z16_chain_text() -> str:
+    """n = 1, L = 16, every level {0, 1}: the lattice Z, with 2^16 residues and 2^15 + 1 folded distances."""
+    return "n 1\nL 16\n" + "".join(f"code {i} generator\n1\n" for i in range(1, 17))
+
+
+@pytest.mark.parametrize(
+    "argv, results",
+    [
+        (
+            ("spectrum", "--center", "0", "--r2max", "4"),
+            {"center": [0], "counts": [[1, 2], [4, 2]], "r2max": 4, "total": 4},
+        ),
+        (("eds", "--r2max", "4"), {"eds": True, "r2max": 4, "witness": None}),
+    ],
+    ids=["spectrum", "eds"],
+)
+def test_many_residue_lattice_reports(capsys, monkeypatch, argv, results):
+    # the class scan reads 2^16 keys at one center; no key may grow with the
+    # number of distinct folded distances the scan meets
+    monkeypatch.setattr("sys.stdin", text_stdin(z16_chain_text()))
+    start = time.perf_counter()
+    code, report = run_json(capsys, *argv, "-")
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    assert report == {
+        "command": argv[0],
+        "input": {
+            "L": 16,
+            "digest": "ef37c3afdb8526387382bdb4818ecd6d6ba0847955790996f53f28f1d6fb8372",
+            "n": 1,
+            "preset": None,
+        },
+        "results": results,
+    }
+
+
 def test_internal_key_error_is_not_an_input_error(monkeypatch):
     def broken(chain, args):
         raise KeyError("internal")

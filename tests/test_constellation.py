@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccc import constellation
 from ccc.constellation import (
     CodeChain,
+    ResidueSet,
     contains,
     cw_members,
     decompose,
@@ -19,6 +21,7 @@ from ccc.f2 import code_from_words, span
 from ccc.presets import dplus_chain
 
 from conftest import (
+    deep_chains,
     first_failing_pair,
     folded_key_oracle,
     nested_chains,
@@ -245,13 +248,36 @@ def test_key_counts_refuses_a_center_of_the_wrong_length(center):
 
 
 @settings(max_examples=150, deadline=None)
-@given(small_chains(), st.data())
+@given(st.one_of(small_chains(), deep_chains()), st.data())
 def test_key_counts_match_folded_key_oracle(chain, data):
     # the center is a residue plus any period translate, so coordinates may be
-    # negative or far outside [0, m)
+    # negative or far outside [0, m); a second center reads the fold table the
+    # first one filled, and deep chains fold distances up to 2^11
     rs, m = residues(chain), chain.modulus
-    r = data.draw(st.sampled_from(rs.sorted), label="r")
-    z = data.draw(st.lists(st.integers(-(1 << 40), 1 << 40), min_size=chain.n, max_size=chain.n), label="z")
-    c = tuple(a + m * b for a, b in zip(r, z))
-    assert [rs.folded_key(s, c) for s in rs.sorted] == [folded_key_oracle(m, s, c) for s in rs.sorted]
-    assert rs.key_counts(c) == frozenset(Counter(folded_key_oracle(m, s, c) for s in rs.sorted).items())
+    for label in ("first", "second"):
+        r = data.draw(st.sampled_from(rs.sorted), label=f"{label} residue")
+        z = data.draw(st.lists(st.integers(-(1 << 40), 1 << 40), min_size=chain.n, max_size=chain.n), label=label)
+        c = tuple(a + m * b for a, b in zip(r, z))
+        assert rs.key_counts(c) == frozenset(Counter(folded_key_oracle(m, s, c) for s in rs.sorted).items())
+
+
+def test_period_group_guard_counts_the_fixes_lookups(monkeypatch):
+    # dplus5: 5 candidates (repetition and even-weight bases) and 32 residues;
+    # dplus22's 22 * 2^22 = 92,274,688 lookups are under the real guard
+    monkeypatch.setattr(constellation, "MAX_PERIOD_WORK", 5 * 32 - 1)
+    residues.cache_clear()
+    with pytest.raises(ValueError, match=r"^period_group: work 160 exceeds the guard of 159$"):
+        residues(dplus_chain(5)).period_group
+    monkeypatch.setattr(constellation, "MAX_PERIOD_WORK", 5 * 32)
+    assert len(residues(dplus_chain(5)).period_group) == 16
+
+
+def test_period_group_guard_refuses_before_the_first_fixes_check(monkeypatch):
+    # the full (Z/128)^2 with every residue a candidate: 2^14 * 2^14 lookups
+    full = frozenset(itertools.product(range(128), repeat=2))
+    rs = ResidueSet(n=2, modulus=128, residues=full, candidates=tuple(sorted(full)))
+    fixes = []
+    monkeypatch.setattr(ResidueSet, "fixes", lambda self, g: fixes.append(g))
+    with pytest.raises(ValueError, match=r"^period_group: work 268435456 exceeds the guard of 100000000$"):
+        rs.period_group
+    assert fixes == []

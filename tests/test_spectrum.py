@@ -5,7 +5,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccc import spectrum as spectrum_mod
@@ -177,6 +177,17 @@ def test_spectrum_classes_match_per_residue_oracles(chain, data):
     assert _outcome(eds_check, chain, r2max) == eds
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_chains())
+@example(CodeChain.of(span([(1,)])))  # L = 1: the nearest shell is the key (1,), at m/2
+@example(CodeChain.of(code_from_words([(0, 0, 0, 0), (1, 1, 1, 1)])))  # (1,1,1,1) ties m * Z^4 at m^2
+@example(CodeChain.of(span([], n=4), code_from_words([(0, 0, 0, 0), (1, 1, 1, 1)])))  # (2,2,2,2) ties at m^2
+def test_nearest_shell_is_the_first_spectrum_entry(chain):
+    m = chain.modulus
+    for c, keys in residues(chain).spectrum_classes():
+        assert spectrum_mod._nearest_shell(m, keys) == min(spectrum_at(chain, c, m * m).counts.items())
+
+
 def wide_trivial_period_chain() -> CodeChain:
     """n = 14, L = 1: 10,001 random nonzero words and period group {0}, so |R/H| * |R| > 10^8."""
     words = random.Random(0).sample(range(1, 1 << 14), 10_001)
@@ -207,14 +218,15 @@ def test_class_scan_guard_counts_the_keys_it_reads():
 
 
 def count_folded_keys(monkeypatch) -> list[int]:
+    """Count the folded keys read: |R| per key_counts call."""
     calls = [0]
-    original = ResidueSet.folded_key
+    original = ResidueSet.key_counts
 
-    def spy(self, s, c):
-        calls[0] += 1
-        return original(self, s, c)
+    def spy(self, c):
+        calls[0] += len(self)
+        return original(self, c)
 
-    monkeypatch.setattr(ResidueSet, "folded_key", spy)
+    monkeypatch.setattr(ResidueSet, "key_counts", spy)
     return calls
 
 
@@ -228,8 +240,9 @@ def test_class_scan_runs_once_per_residue_set(monkeypatch):
         kissing_stats(chain)
         assert gu_subgroup_search(chain).verdict == "certified"
         # a lattice: one coset of its period group, so the scan reads the 16
-        # keys of one representative, and the three spectrum_at calls at it
-        # are handed the scan's keys
+        # keys of one representative; eds_check's spectrum_at calls at it are
+        # handed the scan's keys, and kissing_stats reads its nearest shell
+        # from them
         assert calls[0] == 16
 
 
@@ -241,7 +254,8 @@ def trivial_period_chain() -> CodeChain:
 
 
 def test_one_spectrum_at_call_per_class(monkeypatch):
-    # each class table is built by a spectrum_at call at the class's first residue
+    # eds_check builds each class table by a spectrum_at call at the class's
+    # first residue; kissing_stats reads each class's nearest shell from its keys
     chain = trivial_period_chain()
     residues.cache_clear()
     reps = [c for c, _ in residues(chain).spectrum_classes()]
@@ -254,8 +268,7 @@ def test_one_spectrum_at_call_per_class(monkeypatch):
 
     monkeypatch.setattr(spectrum_mod, "spectrum_at", spy)
     kissing_stats(chain)
-    assert centers == reps
-    centers.clear()
+    assert centers == []
     uniform, witness = eds_check(chain, chain.modulus ** 2)
     assert not uniform and centers == reps[: reps.index(witness.center_b) + 1]
 
@@ -268,8 +281,8 @@ def test_one_spectrum_at_call_per_class(monkeypatch):
         # the n <= 6 search guard refuses after the scan; the per-residue scan read 4,200,448
         (dplus_chain(11), 2, 2 * 2048),
         # no period but 0: the scan reads |R|^2 keys, as the per-residue scan
-        # did; the 52 per-class spectrum_at calls are handed its keys instead
-        # of reading 48 each
+        # did; eds_check's per-class spectrum_at calls are handed its keys
+        # instead of reading 48 each
         (trivial_period_chain(), 48, 48 * 48),
     ],
     ids=["dplus5", "dplus11", "trivial-period"],
