@@ -7,6 +7,18 @@ A chain of L binary codes of length n defines the infinite point set
 which is periodic with period 2^L in every coordinate.  All global questions
 about the constellation reduce to exact integer arithmetic on its finite
 residue set, so nothing here uses floating point.
+
+A residue is packed into one Python int with L bits per coordinate:
+coordinate j of n sits in the lane at bit offset L * (n - 1 - j), so integer
+order is the lexicographic order of the points.  With ``hi`` the top bit of
+every lane and ``lo`` the other bits, the lane-wise sum mod 2^L is
+
+    ((x & lo) + (y & lo)) ^ ((x ^ y) & hi)
+
+since the low bits of a lane add without a carry out of the lane; for L = 1,
+lo = 0 and the sum is XOR.  Sums of residues (period checks, translations,
+the closure witness) run on the packed words; signed permutations and folded
+keys read coordinates.
 """
 
 from __future__ import annotations
@@ -14,12 +26,12 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import compress, repeat
 from math import prod
-from operator import sub
-from typing import Callable, Iterator, Sequence, TypeVar
+from operator import and_, not_, rshift, sub
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .f2 import BinaryCode, Word, is_linear, is_nested
 
@@ -30,6 +42,15 @@ T = TypeVar("T")
 MAX_RESIDUE_COUNT = 1 << 22
 MAX_SIGN_PATTERNS = 1 << 20  # membership tests in cw_members
 MAX_PERIOD_WORK = 10**8  # residue lookups of the period group's fixes checks
+MAX_WITNESS_WORK = 10**8  # coset-representative pairs of the closure witness scan
+
+
+def _pack(p: Sequence[int], modulus: int) -> int:
+    """The point p mod 2^L as one word: coordinate j in the L-bit lane at offset L * (n - 1 - j)."""
+    L, word = modulus.bit_length() - 1, 0
+    for x in p:
+        word = (word << L) | (x & (modulus - 1))
+    return word
 
 
 def check_work(routine: str, work: int, guard: int) -> None:
@@ -93,7 +114,6 @@ class CodeChain:
         return all(is_nested(a, b) for a, b in zip(self.codes, self.codes[1:]))
 
 
-@dataclass(frozen=True)
 class ResidueSet:
     """The finite image of a constellation modulo its period.
 
@@ -103,19 +123,37 @@ class ResidueSet:
     (spectrum classes).  Those questions are asked point by point, and
     ``per_coset`` asks each one once per coset of the verified period
     subgroup ``period_group``, whose generators ``fixes`` checks.
+
+    Each residue is stored as one packed word (``words``): coordinate j of
+    n, reduced mod m = 2^L, sits in the L-bit lane at bit offset
+    L * (n - 1 - j), so word order is the lexicographic order of the points.
+    Sums add lane-wise with ``_translates``.  The point views (``sorted``,
+    ``residues``, ``_columns``, ``period_group``) are unpacked on first use,
+    for the callers that read coordinates.
     """
 
-    n: int
-    modulus: int
-    residues: frozenset[Point]
-    candidates: tuple[Point, ...] = field(default=(), compare=False, repr=False)
+    def __init__(self, n: int, modulus: int, residues: Iterable[Sequence[int]], candidates: Sequence[Point] = ()):
+        self._setup(n, modulus, frozenset(_pack(p, modulus) for p in residues), tuple(candidates))
 
-    @cached_property
-    def sorted(self) -> tuple[Point, ...]:
-        return tuple(sorted(self.residues))
+    @classmethod
+    def from_words(cls, n: int, modulus: int, words: frozenset[int], candidates: Sequence[Point] = ()) -> "ResidueSet":
+        """A residue set of already packed words."""
+        rs = cls.__new__(cls)
+        rs._setup(n, modulus, words, tuple(candidates))
+        return rs
+
+    def _setup(self, n: int, modulus: int, words: frozenset[int], candidates: tuple[Point, ...]) -> None:
+        if modulus < 2 or modulus & (modulus - 1):
+            raise ValueError(f"modulus must be a power of two at least 2, got {modulus}")
+        self.n, self.modulus, self.words, self.candidates = n, modulus, words, candidates
+        L = modulus.bit_length() - 1
+        self._shifts = [L * (n - 1 - j) for j in range(n)]  # lane j's bit offset
+        self._ones = sum(1 << s for s in self._shifts)  # the lowest bit of every lane
+        self._hi = self._ones << (L - 1)  # the top bit of every lane
+        self._lo = ((1 << (L * n)) - 1) ^ self._hi  # the other bits; 0 when L = 1
 
     def __len__(self) -> int:
-        return len(self.residues)
+        return len(self.words)
 
     def __contains__(self, p: Point) -> bool:
         return p in self.residues
@@ -123,14 +161,50 @@ class ResidueSet:
     def __iter__(self):
         return iter(self.sorted)
 
-    def fixes(self, g: Sequence[int]) -> bool:
-        """Whether R + g = R; translation is a bijection, so R + g inside R suffices."""
-        m, members = self.modulus, self.residues
-        return all(tuple((x + y) % m for x, y in zip(s, g)) in members for s in members)
+    def _translates(self, words: Iterable[int], g: int) -> Iterator[int]:
+        """w + g lane-wise mod 2^L for each w in words, in their order.
+
+        The bits below each lane's top bit add without leaving the lane; the
+        top bit of the sum is their carry XOR both top bits, and the carry
+        out of the lane is dropped.  With L = 1 that is XOR.
+        """
+        lo, hi, g_lo = self._lo, self._hi, g & self._lo
+        return (((w & lo) + g_lo) ^ ((w ^ g) & hi) for w in words)
+
+    def _lanes(self, words: Iterable[int]) -> list[Iterator[int]]:
+        """The coordinates of the words, one iterator per lane j."""
+        words, mask = list(words), self.modulus - 1
+        return [map(and_, map(rshift, words, repeat(shift)), repeat(mask)) for shift in self._shifts]
 
     @cached_property
-    def period_group(self) -> frozenset[Point]:
-        """A subgroup H of the period group G = {t : R + t = R mod m}.
+    def _order(self) -> list[int]:
+        """The words in increasing order, which is the lexicographic order of the points."""
+        return sorted(self.words)
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        """The j-th coordinates of the sorted residues, one tuple per j."""
+        return tuple(map(tuple, self._lanes(self._order)))
+
+    @cached_property
+    def sorted(self) -> tuple[Point, ...]:
+        return tuple(zip(*self._columns))
+
+    @cached_property
+    def residues(self) -> frozenset[Point]:
+        return frozenset(self.sorted)
+
+    def fixes(self, g: Sequence[int]) -> bool:
+        """Whether R + g = R; translation is a bijection, so R + g inside R suffices.
+
+        g's entries are reduced mod m, so any integer vector may be asked.
+        """
+        members = self.words
+        return all(map(members.__contains__, self._translates(members, _pack(g, self.modulus))))
+
+    @cached_property
+    def period_words(self) -> frozenset[int]:
+        """A subgroup H of the period group G = {t : R + t = R mod m}, as packed words.
 
         G is Forney's translation group of a geometrically uniform code.  H is
         the group generated by the ``candidates`` g that pass ``fixes(g)`` one
@@ -141,19 +215,24 @@ class ResidueSet:
         the checks are guarded as len(candidates) * |R| lookups.
         """
         check_work("period_group", len(self.candidates) * len(self), MAX_PERIOD_WORK)
-        m, zero = self.modulus, (0,) * self.n
-        group, members = [zero], {zero}
+        group, members = [0], {0}
         for g in self.candidates:
-            if g in members or not self.fixes(g):
+            word = _pack(g, self.modulus)
+            if word in members or not self.fixes(g):
                 continue
             block = group  # the cosets H + k*g are new until k*g falls in H
             while True:
-                block = [tuple((a + b) % m for a, b in zip(p, g)) for p in block]
+                block = list(self._translates(block, word))
                 if block[0] in members:
                     break
                 group += block
                 members.update(block)
         return frozenset(members)
+
+    @cached_property
+    def period_group(self) -> frozenset[Point]:
+        """The period subgroup H of ``period_words``, as points."""
+        return frozenset(zip(*self._lanes(self.period_words)))
 
     def per_coset(self, fn: Callable[[Point], T], even: bool = False) -> Iterator[tuple[Point, T]]:
         """Yield (x, fn(r)) for every residue x in sorted order, r the first residue of x's coset.
@@ -163,38 +242,48 @@ class ResidueSet:
         x and x + h for h in the group: for h in H, R + h = R and R - h = R,
         so translating a point by h permutes the residues it is measured
         against.  A question that also reads x mod 2 is constant only on the
-        even members of H, and two residues share a coset of H ∩ 2Z^n exactly
-        when they share a coset of H and agree mod 2.  fn runs once per coset,
-        when its first residue is reached; a caller that stops early leaves
-        the later cosets uncalled, and the first x with a given answer is the
-        one a per-residue loop would find.
+        even members of H (every lane's low bit 0), and two residues share a
+        coset of H ∩ 2Z^n exactly when they share a coset of H and agree
+        mod 2.  fn runs once per coset, when its first residue is reached; a
+        caller that stops early leaves the later cosets uncalled, and the
+        first x with a given answer is the one a per-residue loop would find.
         """
-        m = self.modulus
-        group = [h for h in self.period_group if not even or all(v % 2 == 0 for v in h)]
-        pending: dict[Point, T] = {}  # answers for the coset members not yet reached
-        for x in self.sorted:
-            if x not in pending:
-                answer = fn(x)
-                for h in group:
-                    pending[tuple((a + b) % m for a, b in zip(x, h))] = answer
-            yield x, pending.pop(x)
+        group = [h for h in self.period_words if not (even and h & self._ones)]
+        pending: dict[int, T] = {}  # answers for the coset members not yet reached
+        for w, x in zip(self._order, self.sorted):
+            if w not in pending:
+                pending.update(zip(self._translates(group, w), repeat(fn(x))))
+            yield x, pending.pop(w)
+
+    @cached_property
+    def _representatives(self) -> list[int]:
+        """The first word of each coset of H, in increasing order."""
+        group, seen, reps = list(self.period_words), set(), []
+        for w in self._order:
+            if w not in seen:
+                reps.append(w)
+                seen.update(self._translates(group, w))
+        return reps
 
     @cached_property
     def coset_representatives(self) -> tuple[Point, ...]:
         """The first residue of each coset of H, in sorted order."""
-        return tuple(x for x, r in self.per_coset(lambda r: r) if x == r)
+        return tuple(zip(*self._lanes(self._representatives)))
 
     def first_pair_outside(self) -> tuple[Point, Point] | None:
         """The lexicographically first residue pair whose sum is not a residue.
 
         Whether s + t is a residue is constant on the cosets of s and of t,
-        so the first failing pair is a pair of coset representatives.
+        so the first failing pair is a pair of coset representatives.  The
+        |R/H|^2 pair checks are guarded before the first one.
         """
-        m, order, members = self.modulus, self.coset_representatives, self.residues
-        for s in order:
-            for t in order:
-                if tuple((x + y) % m for x, y in zip(s, t)) not in members:
-                    return s, t
+        reps, members = self._representatives, self.words
+        check_work("first_pair_outside", len(reps) ** 2, MAX_WITNESS_WORK)
+        for s in reps:
+            outside = map(not_, map(members.__contains__, self._translates(reps, s)))
+            t = next(compress(reps, outside), None)
+            if t is not None:
+                return tuple(zip(*self._lanes([s, t])))
         return None
 
     def maps_onto(self, x: Sequence[int], perm: Sequence[int], signs: Sequence[int]) -> bool:
@@ -209,11 +298,6 @@ class ResidueSet:
             tuple((s * (p[k] - x[k])) % m for s, k in zip(signs, perm)) in members
             for p in members
         )
-
-    @cached_property
-    def _columns(self) -> tuple[tuple[int, ...], ...]:
-        """The j-th coordinates of the sorted residues, one tuple per j."""
-        return tuple(zip(*self.sorted))
 
     @cached_property
     def _fold(self) -> Callable[[int], int]:
@@ -270,17 +354,20 @@ class ResidueSet:
 
 @lru_cache(maxsize=32)
 def residues(chain: CodeChain) -> ResidueSet:
-    """Enumerate all digit combinations; exactly one residue per combination."""
+    """Enumerate all digit combinations; exactly one residue per combination.
+
+    Level i's digit is bit i of every lane, so a residue's word is the OR of
+    its levels' codewords, each packed and shifted by its level.
+    """
     count = chain.residue_count()
     check_work("residues", count, MAX_RESIDUE_COUNT)
-    n = chain.n
-    acc: list[Point] = [(0,) * n]
+    m = chain.modulus
+    acc = [0]
     for level, code in enumerate(chain.codes):
-        scale = 1 << level
-        scaled = [tuple(b * scale for b in w) for w in code.sorted_words()]
-        acc = [tuple(p[j] + s[j] for j in range(n)) for p in acc for s in scaled]
-    pts = frozenset(acc)
-    if len(pts) != count:
+        scaled = [_pack(w, m) << level for w in code.words]
+        acc = [a | b for a in acc for b in scaled]
+    words = frozenset(acc)
+    if len(words) != count:
         # the digit map is injective into [0, 2^L)^n; a clash means corrupted input
         raise RuntimeError("residue enumeration lost points")
     candidates = tuple(
@@ -288,7 +375,7 @@ def residues(chain: CodeChain) -> ResidueSet:
         for level, code in enumerate(chain.codes)
         for w in code.basis
     )
-    return ResidueSet(n=n, modulus=chain.modulus, residues=pts, candidates=candidates)
+    return ResidueSet.from_words(chain.n, m, words, candidates)
 
 
 def contains(chain: CodeChain, p: Sequence[int]) -> bool:

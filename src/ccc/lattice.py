@@ -231,15 +231,16 @@ def is_lattice_direct(chain: CodeChain, find_witness: bool = True) -> tuple[bool
       |C_1|...|C_L| = |R| elements.  H fixes R and 0 is a residue, so H
       lies in R, and H = R.
 
-    The sets are compared, not their sizes: R = {(1,)} and H = {(0,)} have
-    one element each.
+    The sets of packed words are compared, not their sizes: R = {(1,)} and
+    H = {(0,)} have one element each.
 
     Only when the verdict is False and a witness is requested are residue
     pairs scanned, one pair of coset representatives of H at a time, in
-    lexicographic order, for the first pair whose sum leaves R.
+    lexicographic order, for the first pair whose sum leaves R.  The scan's
+    |R/H|^2 pair checks are guarded before the first one.
     """
     rs = residues(chain)
-    closed = rs.period_group == rs.residues
+    closed = rs.period_words == rs.words
     if closed or not find_witness:
         return closed, None
     witness = rs.first_pair_outside()

@@ -100,7 +100,9 @@ def eds_check(chain: CodeChain, r2max: int) -> tuple[bool, EdsWitness | None]:
     first residue (in lexicographic order) whose table differs from the first
     residue's, at the smallest disagreeing distance.
     """
-    classes = _spectrum_classes(chain, r2max)
+    rs = residues(chain)
+    _check_table_work(rs, r2max)  # the cheap guard first: the class scan's needs the period group
+    classes = _spectrum_classes(rs)
     first, keys = next(classes)
     ref = spectrum_at(chain, first, r2max, _keys=keys).counts
     for c, keys in classes:
@@ -128,12 +130,11 @@ def default_eds_radius(chain: CodeChain) -> int:
 def kissing_stats(chain: CodeChain) -> tuple[int, set[int]]:
     """Global minimum squared distance and the set of per-member counts there.
 
-    Each class's nearest shell is read from its key multiset.  The period
-    translates c +/- 2^L e_j guarantee neighbors at 4^L, so the guards are
-    those of a spectrum out to 4^L.
+    Each class's nearest shell is read from its key multiset; the period
+    translates c +/- 2^L e_j guarantee neighbors at 4^L.  No table is built,
+    so the only guard is the class scan's |R/H| * |R| keys.
     """
-    m = chain.modulus
-    shells = [_nearest_shell(m, keys) for _, keys in _spectrum_classes(chain, m * m)]
+    shells = [_nearest_shell(chain.modulus, keys) for _, keys in _spectrum_classes(residues(chain))]
     d2min = min(d2 for d2, _ in shells)
     return d2min, {count if d2 == d2min else 0 for d2, count in shells}
 
@@ -177,10 +178,8 @@ def _key_table(m: int, key: tuple[int, ...], r2max: int) -> tuple[tuple[int, int
     return tuple((d2, cnt) for d2, cnt in enumerate(acc) if cnt)
 
 
-def _spectrum_classes(chain: CodeChain, r2max: int) -> Iterator[tuple[Point, KeyCounts]]:
-    """The residue set's spectrum classes, behind the per-table and |R/H| * |R| key work guards."""
-    rs = residues(chain)
-    _check_table_work(rs, r2max)  # the cheap guard first: the other needs the period group
+def _spectrum_classes(rs: ResidueSet) -> Iterator[tuple[Point, KeyCounts]]:
+    """The residue set's spectrum classes, behind the |R/H| * |R| key work guard."""
     check_work("spectrum class scan", len(rs.coset_representatives) * len(rs), MAX_SPECTRUM_WORK)
     return rs.spectrum_classes()
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ccc.constellation import CodeChain, Point, points_in_box, residues
+from ccc.constellation import CodeChain, Point, ResidueSet, points_in_box, residues
 from ccc.f2 import BinaryCode, SpanTracker, Word, code_from_words, span, unpack
 from ccc.presets import example1, example3, example5
 from ccc.spectrum import EdsWitness, spectrum_at
@@ -196,6 +196,63 @@ def closure_oracle(chain: CodeChain) -> bool:
         for w in code.sorted_words()
         for s in rs.sorted
     )
+
+
+def residues_oracle(chain: CodeChain) -> frozenset[Point]:
+    """Slow path of the residue enumeration: every digit combination, summed one coordinate at a time."""
+    return frozenset(
+        tuple(sum(w[j] << level for level, w in enumerate(words)) for j in range(chain.n))
+        for words in product(*(code.sorted_words() for code in chain.codes))
+    )
+
+
+def fixes_oracle(rs: ResidueSet, g: Sequence[int]) -> bool:
+    """Slow path of ResidueSet.fixes: R + g inside R, one coordinate at a time."""
+    m, members = rs.modulus, rs.residues
+    return all(tuple((x + y) % m for x, y in zip(s, g)) in members for s in members)
+
+
+def period_group_oracle(rs: ResidueSet) -> frozenset[Point]:
+    """Slow path of ResidueSet.period_group: the candidates that pass fixes_oracle, closed on tuples."""
+    m, zero = rs.modulus, (0,) * rs.n
+    group, members = [zero], {zero}
+    for g in rs.candidates:
+        if g in members or not fixes_oracle(rs, g):
+            continue
+        block = group
+        while True:
+            block = [tuple((a + b) % m for a, b in zip(p, g)) for p in block]
+            if block[0] in members:
+                break
+            group += block
+            members.update(block)
+    return frozenset(members)
+
+
+def coset_firsts_oracle(rs: ResidueSet, even: bool = False) -> dict[Point, Point]:
+    """Slow path of the per-coset walk: each residue's first coset member, on tuples.
+
+    The cosets are those of period_group_oracle, or of its even members when ``even``.
+    """
+    m = rs.modulus
+    group = [h for h in period_group_oracle(rs) if not even or all(v % 2 == 0 for v in h)]
+    first: dict[Point, Point] = {}
+    for x in rs.sorted:
+        if x not in first:
+            for h in group:
+                first[tuple((a + b) % m for a, b in zip(x, h))] = x
+    return first
+
+
+def first_pair_outside_oracle(rs: ResidueSet) -> tuple[Point, Point] | None:
+    """Slow path of ResidueSet.first_pair_outside: coset-representative pairs, added on tuples."""
+    m, firsts = rs.modulus, coset_firsts_oracle(rs)
+    reps = [x for x in rs.sorted if firsts[x] == x]
+    for s in reps:
+        for t in reps:
+            if tuple((a + b) % m for a, b in zip(s, t)) not in rs.residues:
+                return s, t
+    return None
 
 
 def folded_key_oracle(m: int, s: Sequence[int], c: Sequence[int]) -> tuple[int, ...]:

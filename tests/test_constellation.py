@@ -21,12 +21,17 @@ from ccc.f2 import code_from_words, span
 from ccc.presets import dplus_chain
 
 from conftest import (
+    coset_firsts_oracle,
     deep_chains,
     first_failing_pair,
+    first_pair_outside_oracle,
+    fixes_oracle,
     folded_key_oracle,
     nested_chains,
+    period_group_oracle,
     random_member,
     random_nested_chain,
+    residues_oracle,
     sign_candidates,
     small_chains,
     subgroup_closure,
@@ -239,6 +244,42 @@ def test_per_coset_small_chains(chain, data):
 @given(nested_chains(nmax=4), st.data())
 def test_per_coset_nested_chains(chain, data):
     _check_per_coset(chain, data)
+
+
+ONE_LEVEL_CHAINS = [
+    CodeChain.of(span([(1, 1)])),
+    CodeChain.of(code_from_words([(0, 1), (1, 0)])),  # L = 1 and not a group: the sum is XOR
+    CodeChain.of(code_from_words([(1, 0, 1)])),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_chains(), nested_chains(nmax=5), deep_chains(), st.sampled_from(ONE_LEVEL_CHAINS)), st.data())
+def test_packed_core_matches_tuple_oracles(chain, data):
+    # deep chains reach 12-bit lanes, where the carry out of a lane's top bit
+    # must be dropped rather than spill into the next coordinate
+    rs, m = residues(chain), chain.modulus
+    assert rs.residues == residues_oracle(chain) and rs.sorted == tuple(sorted(rs.residues))
+    assert rs.period_group == period_group_oracle(rs)
+    firsts = coset_firsts_oracle(rs)
+    assert rs.coset_representatives == tuple(x for x in rs.sorted if firsts[x] == x)
+    for even in (False, True):
+        firsts = coset_firsts_oracle(rs, even)
+        assert list(rs.per_coset(lambda r: r, even=even)) == [(x, firsts[x]) for x in rs.sorted]
+    assert rs.first_pair_outside() == first_pair_outside_oracle(rs)
+    # a difference of residues (often a period) plus period translates, and any vector
+    r, s = data.draw(st.sampled_from(rs.sorted), label="r"), data.draw(st.sampled_from(rs.sorted), label="s")
+    z = data.draw(st.lists(st.integers(-3, 3), min_size=chain.n, max_size=chain.n), label="z")
+    anything = data.draw(st.lists(st.integers(-3 * m, 3 * m), min_size=chain.n, max_size=chain.n), label="g")
+    for g in (tuple(a - b + m * k for a, b, k in zip(r, s, z)), tuple(anything)):
+        assert rs.fixes(g) == fixes_oracle(rs, g)
+
+
+@pytest.mark.parametrize("modulus", [1, 6])
+def test_residue_set_refuses_a_modulus_that_is_not_a_power_of_two(modulus):
+    # the lanes hold L bits, so only m = 2^L with L >= 1 packs a residue exactly
+    with pytest.raises(ValueError, match=f"modulus must be a power of two at least 2, got {modulus}"):
+        ResidueSet(n=1, modulus=modulus, residues=[(0,)])
 
 
 @pytest.mark.parametrize("center", [(0, 0), (0, 0, 0, 0, 0)], ids=["short", "long"])

@@ -1,9 +1,9 @@
-import dataclasses
 import random
 
 import pytest
 from hypothesis import example, given, settings
 
+from ccc import constellation
 from ccc.constellation import CodeChain, ResidueSet, residues
 from ccc.f2 import SpanTracker, code_from_words, span
 from ccc.lattice import (
@@ -211,10 +211,10 @@ class _CountingSet(frozenset):
     ids=["dplus4", "dplus5", "nonlinear"],
 )
 def test_direct_verdict_translates_only_by_candidates(chain, monkeypatch):
-    """The verdict makes at most one ``fixes`` check per candidate, and no other residue lookup."""
+    """The verdict makes at most one ``fixes`` check per candidate, and no other lookup in the packed member set."""
     residues.cache_clear()
     real = residues(chain)
-    rs = dataclasses.replace(real, residues=_CountingSet(real.residues))
+    rs = ResidueSet.from_words(real.n, real.modulus, _CountingSet(real.words), real.candidates)
     monkeypatch.setattr("ccc.lattice.residues", lambda _: rs)
     monkeypatch.setattr(_CountingSet, "lookups", 0)
     calls, inside = [], [0]
@@ -232,6 +232,27 @@ def test_direct_verdict_translates_only_by_candidates(chain, monkeypatch):
     assert (verdict, witness) == (closure_oracle(chain), None)
     assert 0 < len(calls) <= len(rs.candidates)
     assert _CountingSet.lookups == inside[0] > 0
+
+
+def test_witness_scan_guard_refuses_before_the_first_pair(monkeypatch):
+    # (Z/128)^2 without 0, built from packed words with no candidates: H = {0},
+    # so the 2^14 - 1 coset representatives make 16383^2 pair checks
+    rs = ResidueSet.from_words(2, 128, _CountingSet(range(1, 1 << 14)))
+    monkeypatch.setattr(_CountingSet, "lookups", 0)
+    with pytest.raises(ValueError, match=r"^first_pair_outside: work 268402689 exceeds the guard of 100000000$"):
+        rs.first_pair_outside()
+    assert _CountingSet.lookups == 0
+
+
+def test_witness_scan_guard_counts_the_pairs(monkeypatch):
+    # dplus5 is no lattice, and its period subgroup has 2 cosets: 2^2 pair checks
+    chain = dplus_chain(5)
+    residues.cache_clear()
+    monkeypatch.setattr(constellation, "MAX_WITNESS_WORK", 3)
+    with pytest.raises(ValueError, match=r"^first_pair_outside: work 4 exceeds the guard of 3$"):
+        is_lattice_direct(chain)
+    monkeypatch.setattr(constellation, "MAX_WITNESS_WORK", 4)
+    assert is_lattice_direct(chain) == (False, first_failing_pair(chain))
 
 
 def test_equivalence_report_rejects_nonlinear():

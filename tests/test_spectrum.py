@@ -199,17 +199,20 @@ def wide_trivial_period_chain() -> CodeChain:
     [
         (lambda: eds_check(wide_trivial_period_chain(), 4), "spectrum class scan", 10_001 * 10_001),
         (lambda: eds_check(dplus_chain(3), 10**8), "spectrum enumeration", (10**8 + 1) * 8),
-        (
-            lambda: kissing_stats(CodeChain.of(span([(1,)]), *[span([], n=1)] * 13)),
-            "spectrum enumeration",
-            (4**14 + 1) * 2,
-        ),
+        (lambda: kissing_stats(wide_trivial_period_chain()), "spectrum class scan", 10_001 * 10_001),
     ],
-    ids=["classes-trivial-period14", "radius-dplus3", "kissing-L14"],
+    ids=["classes-trivial-period14", "radius-dplus3", "kissing-classes-trivial-period14"],
 )
 def test_spectrum_work_guards(call, routine, work):
     with pytest.raises(ValueError, match=rf"^{routine}: work {work} exceeds the guard of 100000000$"):
         call()
+
+
+def test_kissing_stats_counts_only_the_keys_it_reads():
+    # 2 residues {0, 1} mod 2^14: a table out to 4^14 would be (4^14 + 1) * 2
+    # entries, but kissing_stats reads 2 * 2 folded keys and builds no table
+    chain = CodeChain.of(span([(1,)]), *[span([], n=1)] * 13)
+    assert kissing_stats(chain) == (1, {1})
 
 
 def test_class_scan_guard_counts_the_keys_it_reads():
