@@ -16,9 +16,9 @@ every lane and ``lo`` the other bits, the lane-wise sum mod 2^L is
     ((x & lo) + (y & lo)) ^ ((x ^ y) & hi)
 
 since the low bits of a lane add without a carry out of the lane; for L = 1,
-lo = 0 and the sum is XOR.  Sums of residues (period checks, translations,
-the closure witness) run on the packed words; signed permutations and folded
-keys read coordinates.
+lo = 0 and the sum is XOR.  Sums and membership tests run on the packed
+words; signed permutations read coordinates and pack their images, and
+folded keys read coordinates.
 """
 
 from __future__ import annotations
@@ -122,30 +122,20 @@ class ResidueSet:
     witness), signed permutations (symmetry) and folded differences
     (spectrum classes).  Those questions are asked point by point, and
     ``per_coset`` asks each one once per coset of the verified period
-    subgroup ``period_group``, whose generators ``fixes`` checks.
+    subgroup ``period_words``, whose generators ``fixes`` checks.
 
-    Each residue is stored as one packed word (``words``): coordinate j of
-    n, reduced mod m = 2^L, sits in the L-bit lane at bit offset
-    L * (n - 1 - j), so word order is the lexicographic order of the points.
-    Sums add lane-wise with ``_translates``.  The point views (``sorted``,
-    ``residues``, ``_columns``, ``period_group``) are unpacked on first use,
+    Each residue is one packed word (``words``): coordinate j of n, reduced
+    mod m = 2^L, sits in the L-bit lane at bit offset L * (n - 1 - j), so
+    word order is the lexicographic order of the points.  Sums add lane-wise
+    with ``_translates``, and membership is a lookup in ``words``.  The point
+    views (``sorted``, ``_columns``, ``residues``) are unpacked on first use,
     for the callers that read coordinates.
     """
 
-    def __init__(self, n: int, modulus: int, residues: Iterable[Sequence[int]], candidates: Sequence[Point] = ()):
-        self._setup(n, modulus, frozenset(_pack(p, modulus) for p in residues), tuple(candidates))
-
-    @classmethod
-    def from_words(cls, n: int, modulus: int, words: frozenset[int], candidates: Sequence[Point] = ()) -> "ResidueSet":
-        """A residue set of already packed words."""
-        rs = cls.__new__(cls)
-        rs._setup(n, modulus, words, tuple(candidates))
-        return rs
-
-    def _setup(self, n: int, modulus: int, words: frozenset[int], candidates: tuple[Point, ...]) -> None:
+    def __init__(self, n: int, modulus: int, words: frozenset[int], candidates: Sequence[Point] = ()):
         if modulus < 2 or modulus & (modulus - 1):
             raise ValueError(f"modulus must be a power of two at least 2, got {modulus}")
-        self.n, self.modulus, self.words, self.candidates = n, modulus, words, candidates
+        self.n, self.modulus, self.words, self.candidates = n, modulus, words, tuple(candidates)
         L = modulus.bit_length() - 1
         self._shifts = [L * (n - 1 - j) for j in range(n)]  # lane j's bit offset
         self._ones = sum(1 << s for s in self._shifts)  # the lowest bit of every lane
@@ -229,56 +219,60 @@ class ResidueSet:
                 members.update(block)
         return frozenset(members)
 
-    @cached_property
-    def period_group(self) -> frozenset[Point]:
-        """The period subgroup H of ``period_words``, as points."""
-        return frozenset(zip(*self._lanes(self.period_words)))
+    def _subgroup(self, even: bool) -> list[int]:
+        """H = ``period_words``, or when ``even`` H ∩ 2Z^n: the periods whose lanes all have low bit 0."""
+        return [h for h in self.period_words if not (even and h & self._ones)]
+
+    def coset_count(self, even: bool = False) -> int:
+        """|R/H| = |R| / |H|, or the same for H ∩ 2Z^n when ``even``, read before any walk.
+
+        R is a union of cosets of each, since R + h = R for every period h.
+        """
+        return len(self) // len(self._subgroup(even))
+
+    def _coset_walk(self, even: bool = False) -> Iterator[tuple[int, int]]:
+        """Yield (w, the first word of w's coset of ``_subgroup(even)``) for every word w in increasing order."""
+        group = self._subgroup(even)
+        first: dict[int, int] = {}  # coset members not yet reached -> their first word
+        for w in self._order:
+            if w not in first:
+                first.update(zip(self._translates(group, w), repeat(w)))
+            yield w, first.pop(w)
 
     def per_coset(self, fn: Callable[[Point], T], even: bool = False) -> Iterator[tuple[Point, T]]:
         """Yield (x, fn(r)) for every residue x in sorted order, r the first residue of x's coset.
 
-        The cosets are those of H = ``period_group``, or of H ∩ 2Z^n when
-        ``even``.  This is sound for any question whose answer is the same at
-        x and x + h for h in the group: for h in H, R + h = R and R - h = R,
-        so translating a point by h permutes the residues it is measured
-        against.  A question that also reads x mod 2 is constant only on the
-        even members of H (every lane's low bit 0), and two residues share a
-        coset of H ∩ 2Z^n exactly when they share a coset of H and agree
-        mod 2.  fn runs once per coset, when its first residue is reached; a
-        caller that stops early leaves the later cosets uncalled, and the
-        first x with a given answer is the one a per-residue loop would find.
+        The cosets are ``_coset_walk``'s: of H, or of H ∩ 2Z^n when ``even``.
+        This is sound for any question whose answer is the same at x and
+        x + h for h in the group: for h in H, R + h = R and R - h = R, so
+        translating a point by h permutes the residues it is measured
+        against.  A question that also reads x mod 2 is constant only on
+        H ∩ 2Z^n, and two residues share a coset of H ∩ 2Z^n exactly when
+        they share a coset of H and agree mod 2.  fn runs once per coset,
+        when its first residue is reached; a caller that stops early leaves
+        the later cosets uncalled, and the first x with a given answer is the
+        one a per-residue loop would find.
         """
-        group = [h for h in self.period_words if not (even and h & self._ones)]
-        pending: dict[int, T] = {}  # answers for the coset members not yet reached
-        for w, x in zip(self._order, self.sorted):
-            if w not in pending:
-                pending.update(zip(self._translates(group, w), repeat(fn(x))))
-            yield x, pending.pop(w)
+        answers: dict[int, T] = {}  # first word of each coset reached -> its answer
+        for (w, first), x in zip(self._coset_walk(even), self.sorted):
+            if w == first:
+                answers[w] = fn(x)
+            yield x, answers[first]
 
     @cached_property
     def _representatives(self) -> list[int]:
         """The first word of each coset of H, in increasing order."""
-        group, seen, reps = list(self.period_words), set(), []
-        for w in self._order:
-            if w not in seen:
-                reps.append(w)
-                seen.update(self._translates(group, w))
-        return reps
-
-    @cached_property
-    def coset_representatives(self) -> tuple[Point, ...]:
-        """The first residue of each coset of H, in sorted order."""
-        return tuple(zip(*self._lanes(self._representatives)))
+        return [w for w, first in self._coset_walk() if w == first]
 
     def first_pair_outside(self) -> tuple[Point, Point] | None:
         """The lexicographically first residue pair whose sum is not a residue.
 
         Whether s + t is a residue is constant on the cosets of s and of t,
         so the first failing pair is a pair of coset representatives.  The
-        |R/H|^2 pair checks are guarded before the first one.
+        |R/H|^2 pair checks are guarded before the walk that finds them.
         """
+        check_work("first_pair_outside", self.coset_count() ** 2, MAX_WITNESS_WORK)
         reps, members = self._representatives, self.words
-        check_work("first_pair_outside", len(reps) ** 2, MAX_WITNESS_WORK)
         for s in reps:
             outside = map(not_, map(members.__contains__, self._translates(reps, s)))
             t = next(compress(reps, outside), None)
@@ -290,14 +284,18 @@ class ResidueSet:
         """Whether p -> signs * (p - x)[perm] mod m maps the residue set onto itself.
 
         The map is a bijection of (Z/m)^n, so the image of the residues has
-        |R| points and equals the set exactly when every image point is a
-        residue; the scan stops at the first that is not.
+        |R| points and equals the set exactly when every image, packed, is
+        in ``words``; the scan stops at the first that is not.
         """
-        m, members = self.modulus, self.residues
-        return all(
-            tuple((s * (p[k] - x[k])) % m for s, k in zip(signs, perm)) in members
-            for p in members
-        )
+        m, members = self.modulus, self.words
+        lanes = [(s, k, x[k], shift) for s, k, shift in zip(signs, perm, self._shifts)]
+        for p in self.sorted:
+            image = 0
+            for s, k, xk, shift in lanes:
+                image |= ((s * (p[k] - xk)) % m) << shift
+            if image not in members:
+                return False
+        return True
 
     @cached_property
     def _fold(self) -> Callable[[int], int]:
@@ -323,8 +321,8 @@ class ResidueSet:
     @cached_property
     def _class_scan(self) -> tuple[list, set[KeyCounts], Iterator[Point], threading.Lock]:
         # (representative, keys) of the classes found so far, their key multisets,
-        # coset representatives not yet read
-        return [], set(), iter(self.coset_representatives), threading.Lock()
+        # coset representatives not yet read, unpacked as they are read
+        return [], set(), zip(*self._lanes(self._representatives)), threading.Lock()
 
     def spectrum_classes(self) -> Iterator[tuple[Point, KeyCounts]]:
         """The first residue of each spectrum class and its key multiset, in order.
@@ -375,7 +373,7 @@ def residues(chain: CodeChain) -> ResidueSet:
         for level, code in enumerate(chain.codes)
         for w in code.basis
     )
-    return ResidueSet.from_words(chain.n, m, words, candidates)
+    return ResidueSet(chain.n, m, words, candidates)
 
 
 def contains(chain: CodeChain, p: Sequence[int]) -> bool:

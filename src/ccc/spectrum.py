@@ -13,9 +13,9 @@ spectra need one ``spectrum_at`` call per class, made at the class's
 lexicographically first residue with the key multiset the class scan read
 there; kissing numbers need only each class's nearest shell, read from its
 key multiset without a table.  The multiset is the same at x and x + h for a
-period h of the residue set, so the class scan runs on
-``ResidueSet.per_coset``'s coset representatives: |R/H| * |R| folded keys,
-not |R|^2.
+period h of the residue set, so the class scan runs on the coset
+representatives of ``ResidueSet``'s coset walk: |R/H| * |R| folded keys,
+not |R|^2, a count read before the walk as ``coset_count() * |R|``.
 
 The folded keys and the class scan are methods of ``ResidueSet``.  The scan is
 lazy and memoized on its residue set, so it runs at most once per residue set,
@@ -180,7 +180,7 @@ def _key_table(m: int, key: tuple[int, ...], r2max: int) -> tuple[tuple[int, int
 
 def _spectrum_classes(rs: ResidueSet) -> Iterator[tuple[Point, KeyCounts]]:
     """The residue set's spectrum classes, behind the |R/H| * |R| key work guard."""
-    check_work("spectrum class scan", len(rs.coset_representatives) * len(rs), MAX_SPECTRUM_WORK)
+    check_work("spectrum class scan", rs.coset_count() * len(rs), MAX_SPECTRUM_WORK)
     return rs.spectrum_classes()
 
 

@@ -27,6 +27,7 @@ from .spectrum import EdsWitness, cw_equidistant, default_eds_radius, eds_check
 
 MAX_SEARCH_CANDIDATES = 2**6 * 720  # signed permutations 2^n * n!, so n <= 6
 MAX_SHELL_STEPS = 10**7  # shell-walk ends of the Euclidean partner search, estimated before it starts
+MAX_REFLECTION_WORK = 10**8  # residue lookups of the reflection checks, one scan of R per coset
 
 
 @dataclass(frozen=True)
@@ -77,13 +78,15 @@ def gu_check_two_level(chain: CodeChain) -> GuTwoLevelResult:
     {T_x(s - x) mod 4 : s residue} == residues, which is sound because T_x
     maps 4*Z^n to itself.  T_x is a signed permutation with the identity
     permutation, so the test is the one the isometry search runs.  T_x
-    reads x mod 2, so the check runs per coset with ``even=True``.
+    reads x mod 2, so the check runs per coset with ``even=True``, and its
+    |R| lookups per coset are guarded before the first check.
     """
     if chain.L != 2:
         raise ValueError("the reflection certificate requires exactly two levels")
     if not chain.all_linear():
         raise ValueError("the reflection certificate requires linear codes")
     rs = residues(chain)
+    check_work("gu_check_two_level", rs.coset_count(even=True) * len(rs), MAX_REFLECTION_WORK)
     identity = tuple(range(chain.n))
 
     def check(x: Point) -> tuple[tuple[int, ...], bool]:

@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import isqrt
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 import pytest
@@ -206,6 +206,23 @@ def residues_oracle(chain: CodeChain) -> frozenset[Point]:
     )
 
 
+def pack_point(m: int, p: Sequence[int]) -> int:
+    """The point p mod m = 2^L as one word: coordinate j of n in the L-bit lane at bit offset L * (n - 1 - j)."""
+    L = m.bit_length() - 1
+    return sum((x % m) << (L * (len(p) - 1 - j)) for j, x in enumerate(p))
+
+
+def packed_set(n: int, m: int, points: Iterable[Sequence[int]], candidates: Sequence[Point] = ()) -> ResidueSet:
+    """A residue set built by hand from points, packed one word per point."""
+    return ResidueSet(n, m, frozenset(pack_point(m, p) for p in points), candidates)
+
+
+def period_points(rs: ResidueSet) -> frozenset[Point]:
+    """The period subgroup ``rs.period_words``, unpacked to points."""
+    L, m = rs.modulus.bit_length() - 1, rs.modulus
+    return frozenset(tuple((h >> (L * (rs.n - 1 - j))) & (m - 1) for j in range(rs.n)) for h in rs.period_words)
+
+
 def fixes_oracle(rs: ResidueSet, g: Sequence[int]) -> bool:
     """Slow path of ResidueSet.fixes: R + g inside R, one coordinate at a time."""
     m, members = rs.modulus, rs.residues
@@ -213,7 +230,7 @@ def fixes_oracle(rs: ResidueSet, g: Sequence[int]) -> bool:
 
 
 def period_group_oracle(rs: ResidueSet) -> frozenset[Point]:
-    """Slow path of ResidueSet.period_group: the candidates that pass fixes_oracle, closed on tuples."""
+    """Slow path of ResidueSet.period_words: the candidates that pass fixes_oracle, closed on tuples."""
     m, zero = rs.modulus, (0,) * rs.n
     group, members = [zero], {zero}
     for g in rs.candidates:
@@ -253,6 +270,12 @@ def first_pair_outside_oracle(rs: ResidueSet) -> tuple[Point, Point] | None:
             if tuple((a + b) % m for a, b in zip(s, t)) not in rs.residues:
                 return s, t
     return None
+
+
+def maps_onto_oracle(rs: ResidueSet, x: Sequence[int], perm: Sequence[int], signs: Sequence[int]) -> bool:
+    """Slow path of ResidueSet.maps_onto: every image point built as a tuple and looked up among the points."""
+    m = rs.modulus
+    return all(tuple((s * (p[k] - x[k])) % m for s, k in zip(signs, perm)) in rs.residues for p in rs.residues)
 
 
 def folded_key_oracle(m: int, s: Sequence[int], c: Sequence[int]) -> tuple[int, ...]:

@@ -218,6 +218,15 @@ def test_euclidean_partner_shell_guard_is_input_error(capsys):
     assert err == "error: euclidean_partner_all: work 32001649 exceeds the guard of 10000000\n"
 
 
+def test_reflection_guard_is_input_error(capsys, monkeypatch):
+    # C1 = F2^14 over C2 = {0}: H = {0}, so 2^14 reflection checks of 2^14 lookups each
+    units = "".join("".join("1" if i == j else "0" for i in range(14)) + "\n" for j in range(14))
+    monkeypatch.setattr("sys.stdin", text_stdin(f"n 14\nL 2\ncode 1 generator\n{units}code 2 generator\n"))
+    code, out, err = run_cli(capsys, "gu", "-")
+    assert code == 2 and out == ""
+    assert err == "error: gu_check_two_level: work 268435456 exceeds the guard of 100000000\n"
+
+
 def test_sign_pattern_guard_is_input_error(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", text_stdin(f"n 21\nL 1\ncode 1 generator\n{'1' * 21}\n"))
     zeros, ones = ",".join("0" * 21), ",".join("1" * 21)

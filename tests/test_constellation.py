@@ -27,8 +27,12 @@ from conftest import (
     first_pair_outside_oracle,
     fixes_oracle,
     folded_key_oracle,
+    maps_onto_oracle,
     nested_chains,
+    pack_point,
+    packed_set,
     period_group_oracle,
+    period_points,
     random_member,
     random_nested_chain,
     residues_oracle,
@@ -173,7 +177,7 @@ def test_cw_members_matches_sign_loop(chain, data):
 def _check_period_cosets(chain: CodeChain) -> None:
     rs = residues(chain)
     m = chain.modulus
-    group, reps = rs.period_group, rs.coset_representatives
+    group = period_points(rs)
     rep_of = dict(rs.per_coset(lambda r: r))
     add = lambda a, b: tuple((x + y) % m for x, y in zip(a, b))
     for h in group:
@@ -183,7 +187,7 @@ def _check_period_cosets(chain: CodeChain) -> None:
     assert (group == rs.residues) == (first_failing_pair(chain) is None)
     assert set(rep_of) == rs.residues
     assert all(rep_of[x] == min(add(x, h) for h in group) for x in rs.sorted)
-    assert reps == tuple(x for x in rs.sorted if rep_of[x] == x)
+    assert rs.coset_count() == sum(rep_of[x] == x for x in rs.sorted)
 
 
 @settings(max_examples=150, deadline=None)
@@ -201,7 +205,7 @@ def test_period_cosets_nested_chains(chain):
 def _check_per_coset(chain: CodeChain, data) -> None:
     rs = residues(chain)
     m = chain.modulus
-    group = rs.period_group
+    group = period_points(rs)
 
     def first_of(sub):  # each residue's first coset member, by brute force
         return {x: min(tuple((a + b) % m for a, b in zip(x, h)) for h in sub) for x in rs.sorted}
@@ -230,8 +234,9 @@ def _check_per_coset(chain: CodeChain, data) -> None:
     key = {x: (first_h[x], tuple(v % 2 for v in x)) for x in rs.sorted}
     pairs = {(id(answer[x]), key[x]) for x in rs.sorted}
     assert len(pairs) == len({id(a) for a in answer.values()}) == len(set(key.values()))
-    # (d) the representatives are the residues that represent themselves
-    assert rs.coset_representatives == tuple(x for x in rs.sorted if first_h[x] == x)
+    # (d) the coset counts are the numbers of residues that represent themselves
+    assert rs.coset_count() == sum(first_h[x] == x for x in rs.sorted)
+    assert rs.coset_count(even=True) == sum(first_even[x] == x for x in rs.sorted)
 
 
 @settings(max_examples=150, deadline=None)
@@ -260,12 +265,13 @@ def test_packed_core_matches_tuple_oracles(chain, data):
     # must be dropped rather than spill into the next coordinate
     rs, m = residues(chain), chain.modulus
     assert rs.residues == residues_oracle(chain) and rs.sorted == tuple(sorted(rs.residues))
-    assert rs.period_group == period_group_oracle(rs)
+    assert rs.period_words == frozenset(pack_point(m, h) for h in period_group_oracle(rs))
     firsts = coset_firsts_oracle(rs)
-    assert rs.coset_representatives == tuple(x for x in rs.sorted if firsts[x] == x)
+    assert rs._representatives == [pack_point(m, x) for x in rs.sorted if firsts[x] == x]
     for even in (False, True):
         firsts = coset_firsts_oracle(rs, even)
         assert list(rs.per_coset(lambda r: r, even=even)) == [(x, firsts[x]) for x in rs.sorted]
+        assert rs.coset_count(even) == len(set(firsts.values()))
     assert rs.first_pair_outside() == first_pair_outside_oracle(rs)
     # a difference of residues (often a period) plus period translates, and any vector
     r, s = data.draw(st.sampled_from(rs.sorted), label="r"), data.draw(st.sampled_from(rs.sorted), label="s")
@@ -273,13 +279,21 @@ def test_packed_core_matches_tuple_oracles(chain, data):
     anything = data.draw(st.lists(st.integers(-3 * m, 3 * m), min_size=chain.n, max_size=chain.n), label="g")
     for g in (tuple(a - b + m * k for a, b, k in zip(r, s, z)), tuple(anything)):
         assert rs.fixes(g) == fixes_oracle(rs, g)
+    # a signed permutation at a member, the bare translation by -r, and the
+    # reflection at r that flips its odd coordinates
+    x = tuple(a + m * k for a, k in zip(r, z))
+    perm = tuple(data.draw(st.permutations(range(chain.n)), label="perm"))
+    signs = tuple(data.draw(st.lists(st.sampled_from((1, -1)), min_size=chain.n, max_size=chain.n), label="signs"))
+    identity, odd = tuple(range(chain.n)), tuple(-1 if a % 2 else 1 for a in r)
+    for args in ((x, perm, signs), (x, identity, (1,) * chain.n), (x, identity, odd)):
+        assert rs.maps_onto(*args) == maps_onto_oracle(rs, *args)
 
 
 @pytest.mark.parametrize("modulus", [1, 6])
 def test_residue_set_refuses_a_modulus_that_is_not_a_power_of_two(modulus):
     # the lanes hold L bits, so only m = 2^L with L >= 1 packs a residue exactly
     with pytest.raises(ValueError, match=f"modulus must be a power of two at least 2, got {modulus}"):
-        ResidueSet(n=1, modulus=modulus, residues=[(0,)])
+        ResidueSet(n=1, modulus=modulus, words=frozenset({0}))
 
 
 @pytest.mark.parametrize("center", [(0, 0), (0, 0, 0, 0, 0)], ids=["short", "long"])
@@ -308,17 +322,17 @@ def test_period_group_guard_counts_the_fixes_lookups(monkeypatch):
     monkeypatch.setattr(constellation, "MAX_PERIOD_WORK", 5 * 32 - 1)
     residues.cache_clear()
     with pytest.raises(ValueError, match=r"^period_group: work 160 exceeds the guard of 159$"):
-        residues(dplus_chain(5)).period_group
+        residues(dplus_chain(5)).period_words
     monkeypatch.setattr(constellation, "MAX_PERIOD_WORK", 5 * 32)
-    assert len(residues(dplus_chain(5)).period_group) == 16
+    assert len(residues(dplus_chain(5)).period_words) == 16
 
 
 def test_period_group_guard_refuses_before_the_first_fixes_check(monkeypatch):
     # the full (Z/128)^2 with every residue a candidate: 2^14 * 2^14 lookups
     full = frozenset(itertools.product(range(128), repeat=2))
-    rs = ResidueSet(n=2, modulus=128, residues=full, candidates=tuple(sorted(full)))
+    rs = packed_set(2, 128, full, candidates=tuple(sorted(full)))
     fixes = []
     monkeypatch.setattr(ResidueSet, "fixes", lambda self, g: fixes.append(g))
     with pytest.raises(ValueError, match=r"^period_group: work 268435456 exceeds the guard of 100000000$"):
-        rs.period_group
+        rs.period_words
     assert fixes == []

@@ -214,7 +214,7 @@ def test_direct_verdict_translates_only_by_candidates(chain, monkeypatch):
     """The verdict makes at most one ``fixes`` check per candidate, and no other lookup in the packed member set."""
     residues.cache_clear()
     real = residues(chain)
-    rs = ResidueSet.from_words(real.n, real.modulus, _CountingSet(real.words), real.candidates)
+    rs = ResidueSet(real.n, real.modulus, _CountingSet(real.words), real.candidates)
     monkeypatch.setattr("ccc.lattice.residues", lambda _: rs)
     monkeypatch.setattr(_CountingSet, "lookups", 0)
     calls, inside = [], [0]
@@ -237,7 +237,7 @@ def test_direct_verdict_translates_only_by_candidates(chain, monkeypatch):
 def test_witness_scan_guard_refuses_before_the_first_pair(monkeypatch):
     # (Z/128)^2 without 0, built from packed words with no candidates: H = {0},
     # so the 2^14 - 1 coset representatives make 16383^2 pair checks
-    rs = ResidueSet.from_words(2, 128, _CountingSet(range(1, 1 << 14)))
+    rs = ResidueSet(2, 128, _CountingSet(range(1, 1 << 14)))
     monkeypatch.setattr(_CountingSet, "lookups", 0)
     with pytest.raises(ValueError, match=r"^first_pair_outside: work 268402689 exceeds the guard of 100000000$"):
         rs.first_pair_outside()

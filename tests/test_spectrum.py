@@ -233,6 +233,15 @@ def count_folded_keys(monkeypatch) -> list[int]:
     return calls
 
 
+def test_table_guard_refuses_before_the_class_scan(monkeypatch):
+    # eds_check checks its per-table guard first, so a too-large r2max reads no key
+    residues.cache_clear()
+    calls = count_folded_keys(monkeypatch)
+    with pytest.raises(ValueError, match=r"^spectrum enumeration: work 800000008 exceeds the guard of 100000000$"):
+        eds_check(dplus_chain(3), 10**8)
+    assert calls[0] == 0
+
+
 def test_class_scan_runs_once_per_residue_set(monkeypatch):
     chain = dplus_chain(4)  # 16 residues, one spectrum class
     calls = count_folded_keys(monkeypatch)
@@ -292,7 +301,7 @@ def test_one_spectrum_at_call_per_class(monkeypatch):
 )
 def test_class_scan_reads_one_center_per_coset(monkeypatch, chain, cosets, keys):
     residues.cache_clear()
-    assert len(residues(chain).coset_representatives) == cosets
+    assert residues(chain).coset_count() == cosets
     calls = count_folded_keys(monkeypatch)
     eds_check(chain, chain.modulus ** 2)
     kissing_stats(chain)
@@ -314,7 +323,7 @@ def test_search_guard_reached_after_the_coset_scan(monkeypatch):
     calls = count_folded_keys(monkeypatch)
     with pytest.raises(ValueError, match=r"^gu_subgroup_search: work 81749606400 exceeds the guard of 46080$"):
         gu_subgroup_search(chain)
-    assert 0 < calls[0] <= len(rs.coset_representatives) * len(rs)
+    assert 0 < calls[0] <= rs.coset_count() * len(rs)
 
 
 @settings(max_examples=150, deadline=None)

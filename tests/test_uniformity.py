@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccc.constellation import CodeChain, contains, decompose
+from ccc import uniformity
+from ccc.constellation import CodeChain, ResidueSet, contains, decompose, residues
 from ccc.f2 import code_from_words, span
 from ccc.presets import dplus_chain
 from ccc.spectrum import cw_equidistant
@@ -106,6 +107,32 @@ def test_gu_two_level_zero_codes():
 
 
 def test_gu_two_level_dplus5():
+    assert gu_check_two_level(dplus_chain(5)).uniform
+
+
+def full_space_chain(n: int) -> CodeChain:
+    """C1 = F2^n over C2 = {0}: no candidate fixes R, so H = {0} and every residue is its own coset."""
+    return CodeChain.of(span([tuple(int(i == j) for i in range(n)) for j in range(n)]), span([], n=n))
+
+
+def test_reflection_guard_refuses_before_the_first_check(monkeypatch):
+    # 2^14 cosets of H ∩ 2Z^n, each scanning 2^14 residues
+    calls = []
+    monkeypatch.setattr(ResidueSet, "maps_onto", lambda self, *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"^gu_check_two_level: work 268435456 exceeds the guard of 100000000$"):
+        gu_check_two_level(full_space_chain(14))
+    assert calls == []
+
+
+def test_reflection_guard_counts_one_scan_per_even_coset(monkeypatch):
+    # a dplus chain has two cosets of H ∩ 2Z^n, so dplus22 is 2 * 2^22 lookups;
+    # BW16 = RM(1,4) + 2*RM(3,4) has 32, so 32 * 2^20: both pass the real guard
+    assert 32 * 2**20 <= uniformity.MAX_REFLECTION_WORK and 2 * 2**22 <= uniformity.MAX_REFLECTION_WORK
+    assert [residues(dplus_chain(n)).coset_count(even=True) for n in range(4, 11)] == [2] * 7
+    monkeypatch.setattr(uniformity, "MAX_REFLECTION_WORK", 2 * 32 - 1)
+    with pytest.raises(ValueError, match=r"^gu_check_two_level: work 64 exceeds the guard of 63$"):
+        gu_check_two_level(dplus_chain(5))
+    monkeypatch.setattr(uniformity, "MAX_REFLECTION_WORK", 2 * 32)
     assert gu_check_two_level(dplus_chain(5)).uniform
 
 
