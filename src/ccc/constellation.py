@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from math import prod
@@ -72,21 +71,40 @@ class _FoldTable(dict):
         return fold
 
 
-@dataclass(frozen=True)
 class CodeChain:
-    """L binary codes of a common length, scaled by 1, 2, ..., 2^(L-1)."""
+    """L binary codes of a common length, scaled by 1, 2, ..., 2^(L-1).
+
+    Equal when the codes are equal level by level; ``codes`` is read-only.
+    """
 
     codes: tuple[BinaryCode, ...]
 
-    def __post_init__(self):
-        if not isinstance(self.codes, tuple):
-            object.__setattr__(self, "codes", tuple(self.codes))
-        if len(self.codes) < 1:
+    def __init__(self, codes: Iterable[BinaryCode]):
+        if not isinstance(codes, tuple):
+            codes = tuple(codes)
+        if len(codes) < 1:
             raise ValueError("a chain needs at least one level")
-        n = self.codes[0].n
-        for code in self.codes:
+        n = codes[0].n
+        for code in codes:
             if code.n != n:
                 raise ValueError("all codes in a chain must share one length")
+        object.__setattr__(self, "codes", codes)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"CodeChain.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not CodeChain:
+            return NotImplemented
+        return self.codes == other.codes
+
+    def __hash__(self):
+        return hash(self.codes)
+
+    def __repr__(self):
+        return f"CodeChain(codes={self.codes!r})"
 
     @classmethod
     def of(cls, *codes: BinaryCode) -> "CodeChain":

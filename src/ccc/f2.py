@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -81,25 +80,45 @@ class SpanTracker:
         return True
 
 
-@dataclass(frozen=True)
 class BinaryCode:
-    """A nonempty set of equal-length binary words."""
+    """A nonempty set of equal-length binary words.
+
+    Equal when n and the words are equal; the fields are read-only.
+    """
 
     n: int
     words: frozenset[Word]
 
-    def __post_init__(self):
-        if not isinstance(self.words, frozenset):
-            object.__setattr__(self, "words", frozenset(self.words))
-        _check_length(self.n)
-        if not self.words:
+    def __init__(self, n: int, words: Iterable[Word]):
+        if not isinstance(words, frozenset):
+            words = frozenset(words)
+        _check_length(n)
+        if not words:
             raise ValueError("a code must contain at least one word")
-        if len(self.words) > MAX_CODE_SIZE:
-            raise ValueError(f"code size {len(self.words)} exceeds the guard of {MAX_CODE_SIZE}")
-        for w in self.words:
-            if len(w) != self.n:
-                raise ValueError(f"word {w} does not have length {self.n}")
+        if len(words) > MAX_CODE_SIZE:
+            raise ValueError(f"code size {len(words)} exceeds the guard of {MAX_CODE_SIZE}")
+        for w in words:
+            if len(w) != n:
+                raise ValueError(f"word {w} does not have length {n}")
             _check_word(w)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "words", words)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"BinaryCode.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not BinaryCode:
+            return NotImplemented
+        return self.n == other.n and self.words == other.words
+
+    def __hash__(self):
+        return hash((self.n, self.words))
+
+    def __repr__(self):
+        return f"BinaryCode(n={self.n!r}, words={self.words!r})"
 
     @property
     def size(self) -> int:

@@ -7,35 +7,56 @@ All lattices here contain 2^L * Z^n, which keeps every computation finite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .constellation import CodeChain, Point, check_work, residues
 from .f2 import SpanTracker, Word, schur_closed_chain, unpack
 
 
-@dataclass(frozen=True)
 class IntegerLattice:
     """Full-rank sublattice of Z^n with a row-style Hermite Normal Form basis.
 
     The basis is upper triangular with positive diagonal; entries above each
     pivot are reduced into [0, pivot).  This form is unique per lattice, so
-    dataclass equality is lattice equality.
+    equality of the fields (n, basis, determinant), which are read-only, is
+    lattice equality.
     """
 
     n: int
     basis: tuple[tuple[int, ...], ...]
     determinant: int
 
-    def __post_init__(self):
-        for i, row in enumerate(self.basis):
-            if len(row) != self.n:
+    def __init__(self, n: int, basis: tuple[tuple[int, ...], ...], determinant: int):
+        for i, row in enumerate(basis):
+            if len(row) != n:
                 raise ValueError("basis rows must have length n")
             if row[i] <= 0 or any(row[j] != 0 for j in range(i)):
                 raise ValueError("basis is not in row Hermite Normal Form")
-        if self.determinant != prod(row[i] for i, row in enumerate(self.basis)):
+        if determinant != prod(row[i] for i, row in enumerate(basis)):
             raise ValueError("determinant does not match the basis diagonal")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "determinant", determinant)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"IntegerLattice.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.n, self.basis, self.determinant
+
+    def __eq__(self, other):
+        if type(other) is not IntegerLattice:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"IntegerLattice(n={self.n!r}, basis={self.basis!r}, determinant={self.determinant!r})"
 
     def contains(self, p: Sequence[int]) -> bool:
         """Exact membership by forward substitution along the pivots."""
@@ -124,8 +145,7 @@ def smallest_lattice(chain: CodeChain) -> IntegerLattice:
     return hnf(gens)
 
 
-@dataclass(frozen=True)
-class NestedBasis:
+class NestedBasis(NamedTuple):
     """An F2^n basis whose prefixes span the chain's codes level by level."""
 
     rows: tuple[Word, ...]
@@ -249,8 +269,7 @@ def is_lattice_direct(chain: CodeChain, find_witness: bool = True) -> tuple[bool
     return False, witness
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
+class EquivalenceReport(NamedTuple):
     """Independent verdicts of the four mutually equivalent lattice criteria.
 
     For a nested linear chain the four booleans must agree; a disagreement is

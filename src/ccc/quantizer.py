@@ -38,9 +38,8 @@ commands, which never decode, start without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .constellation import CodeChain, Point, check_work, residues
 from .f2 import BinaryCode
@@ -59,9 +58,11 @@ ROW_BLOCK = 2048  # samples decoded together: a block's (n x ROW_BLOCK) buffers 
 MAX_DECODE_WORK = 10**13
 
 
-@dataclass(frozen=True)
 class NsmEstimate:
-    """A reproducible NSM estimate with its Monte Carlo standard error."""
+    """A reproducible NSM estimate with its Monte Carlo standard error.
+
+    Equal when all five fields are equal; the fields are read-only.
+    """
 
     value: float
     stderr: float
@@ -69,9 +70,36 @@ class NsmEstimate:
     seed: int
     covolume: Fraction
 
-    def __post_init__(self):
-        if self.value <= 0 or self.stderr < 0:
+    def __init__(self, value: float, stderr: float, samples: int, seed: int, covolume: Fraction):
+        if value <= 0 or stderr < 0:
             raise ValueError("estimate out of range")
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "stderr", stderr)
+        object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "covolume", covolume)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"NsmEstimate.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return self.value, self.stderr, self.samples, self.seed, self.covolume
+
+    def __eq__(self, other):
+        if type(other) is not NsmEstimate:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"NsmEstimate(value={self.value!r}, stderr={self.stderr!r}, samples={self.samples!r},"
+            f" seed={self.seed!r}, covolume={self.covolume!r})"
+        )
 
 
 def covolume(chain: CodeChain) -> Fraction:
@@ -83,8 +111,7 @@ def _is_even_weight(code: BinaryCode) -> bool:
     return code.size == 1 << (code.n - 1) and all(sum(w) % 2 == 0 for w in code.words)
 
 
-@dataclass(frozen=True)
-class _CosetDecoder:
+class _CosetDecoder(NamedTuple):
     """Exact nearest-point decoding of one chain, one top-code coset at a time."""
 
     shifts: np.ndarray  # the lower words c, float64, one row each

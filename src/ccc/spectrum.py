@@ -30,19 +30,17 @@ of a chain with many levels cost no more than those of a shallow one.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .constellation import CodeChain, KeyCounts, Point, ResidueSet, check_work, contains, cw_members, residues
 
 MAX_SPECTRUM_WORK = 10**8
 
 
-@dataclass
-class SpectrumTable:
+class SpectrumTable(NamedTuple):
     """Counts of constellation points per squared distance from a center.
 
     Keys are positive squared distances up to r2max; the center itself is
@@ -79,8 +77,7 @@ def spectrum_at(chain: CodeChain, c: Sequence[int], r2max: int, *, _keys: KeyCou
     return SpectrumTable(center=tuple(c), r2max=r2max, counts=counts)
 
 
-@dataclass(frozen=True)
-class EdsWitness:
+class EdsWitness(NamedTuple):
     """Two members whose spectra first disagree, with the distance and counts."""
 
     center_a: Point

@@ -16,11 +16,10 @@ x' is the union of such searches over the nonnegative vectors of that norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import permutations, product
 from math import comb, factorial, isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .constellation import CodeChain, Point, ResidueSet, check_work, contains, cw_members, decompose, residues
 from .spectrum import EdsWitness, cw_equidistant, default_eds_radius, eds_check
@@ -30,15 +29,34 @@ MAX_SHELL_STEPS = 10**7  # shell-walk ends of the Euclidean partner search, esti
 MAX_REFLECTION_WORK = 10**8  # residue lookups of the reflection checks, one scan of R per coset
 
 
-@dataclass(frozen=True)
 class ReflectionMap:
-    """Coordinate sign-flip map; an involution preserving squared norms."""
+    """Coordinate sign-flip map; an involution preserving squared norms.
+
+    Equal when the signs are equal; ``signs`` is read-only.
+    """
 
     signs: tuple[int, ...]
 
-    def __post_init__(self):
-        if any(s not in (-1, 1) for s in self.signs):
+    def __init__(self, signs: tuple[int, ...]):
+        if any(s not in (-1, 1) for s in signs):
             raise ValueError("reflection signs must be +1 or -1")
+        object.__setattr__(self, "signs", signs)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"ReflectionMap.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not ReflectionMap:
+            return NotImplemented
+        return self.signs == other.signs
+
+    def __hash__(self):
+        return hash(self.signs)
+
+    def __repr__(self):
+        return f"ReflectionMap(signs={self.signs!r})"
 
     def apply(self, p: Sequence[int]) -> Point:
         if len(p) != len(self.signs):
@@ -55,8 +73,7 @@ def reflection_for(chain: CodeChain, x: Sequence[int]) -> ReflectionMap:
     return ReflectionMap(signs=tuple(-1 if b else 1 for b in digits[0]))
 
 
-@dataclass(frozen=True)
-class GuCertificate:
+class GuCertificate(NamedTuple):
     """One verified member symmetry: the reflection carrying the constellation
     minus x back onto itself."""
 
@@ -64,8 +81,7 @@ class GuCertificate:
     signs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GuTwoLevelResult:
+class GuTwoLevelResult(NamedTuple):
     uniform: bool
     certificates: tuple[GuCertificate, ...]
     failing: Point | None
@@ -101,8 +117,7 @@ def gu_check_two_level(chain: CodeChain) -> GuTwoLevelResult:
     return GuTwoLevelResult(uniform=True, certificates=tuple(certs), failing=None)
 
 
-@dataclass(frozen=True)
-class IsometryCandidate:
+class IsometryCandidate(NamedTuple):
     """A signed permutation plus translation: T(p)_j = signs[j] * p[perm[j]] + translation[j]."""
 
     permutation: tuple[int, ...]
@@ -110,13 +125,14 @@ class IsometryCandidate:
     translation: Point
 
     def apply(self, p: Sequence[int]) -> Point:
+        if len(p) != len(self.permutation):
+            raise ValueError(f"point has length {len(p)}, expected {len(self.permutation)}")
         return tuple(
             s * p[k] + t for s, k, t in zip(self.signs, self.permutation, self.translation)
         )
 
 
-@dataclass(frozen=True)
-class GuSearchResult:
+class GuSearchResult(NamedTuple):
     verdict: str  # "certified" | "refuted_by_eds" | "inconclusive"
     eds_witness: EdsWitness | None
     isometries: tuple[IsometryCandidate, ...]
@@ -168,8 +184,7 @@ def _first_symmetry(rs: ResidueSet, x: Point) -> tuple[tuple[int, ...], tuple[in
     return None
 
 
-@dataclass(frozen=True)
-class PartnerTrace:
+class PartnerTrace(NamedTuple):
     """Intermediate quantities of the constructive partner derivation."""
 
     e1: tuple[int, ...]

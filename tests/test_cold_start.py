@@ -1,5 +1,6 @@
 """Cold start: ``import ccc`` loads no submodule, each command loads only the
-modules it runs, and only nsm loads numpy and the thread pool.
+modules it runs, only nsm loads numpy and the thread pool, and no command
+loads ``dataclasses`` (or, short of numpy, ``inspect``).
 
 conftest.py imports numpy and most of ``ccc``, so the checks run in fresh
 interpreters.
@@ -37,7 +38,7 @@ import contextlib, io, json, sys
 import ccc
 import ccc.cli
 
-lazy = ("numpy", "concurrent.futures")
+lazy = ("numpy", "concurrent.futures", "dataclasses", "inspect")
 out = {"after_import": [m for m in lazy if m in sys.modules], "exact": [], "nsm": []}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -88,9 +89,11 @@ def fresh_python(script: str, *args) -> dict:
 def test_only_nsm_loads_numpy_and_the_thread_pool():
     out = fresh_python(SCRIPT, EXACT_COMMANDS, NSM)
     assert out["after_import"] == []
+    # the exact commands load none of the four, dataclasses and inspect included
     assert out["exact"] == [[argv[0], 1 if argv[0] == "lattice" else 0, []] for argv in EXACT_COMMANDS]
     assert out["nsm"] == [[0, NSM_REPORT], [0, NSM_REPORT]]
     assert "numpy" in out["after_nsm"]
+    assert "dataclasses" not in out["after_nsm"]  # numpy loads inspect itself, but not dataclasses
     # three batches at --threads 2 start a pool wherever there is a second core
     assert ("concurrent.futures" in out["after_nsm"]) == ((os.cpu_count() or 1) > 1)
 

@@ -11,6 +11,7 @@ from ccc.f2 import code_from_words, span
 from ccc.presets import dplus_chain
 from ccc.spectrum import cw_equidistant
 from ccc.uniformity import (
+    IsometryCandidate,
     ReflectionMap,
     euclidean_partner_all,
     euclidean_partner_bruteforce,
@@ -71,9 +72,13 @@ def test_reflection_is_norm_preserving_involution(signs, data):
     assert sum(x * x for x in image) == sum(x * x for x in v)
 
 
-def test_reflection_map_validates_signs():
-    with pytest.raises(ValueError):
-        ReflectionMap(signs=(1, 0))
+def test_isometry_candidate_apply_checks_the_point_length():
+    iso = IsometryCandidate(permutation=(1, 0), signs=(1, -1), translation=(0, 0))
+    assert iso.apply((3, 5)) == (5, -3)
+    with pytest.raises(ValueError, match=r"^point has length 3, expected 2$"):
+        iso.apply((3, 5, 7))
+    with pytest.raises(ValueError, match=r"^point has length 1, expected 2$"):
+        iso.apply((3,))
 
 
 def test_reflection_for_examples(e1):
