@@ -32,7 +32,7 @@ from math import prod
 from operator import and_, not_, rshift, sub
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .f2 import BinaryCode, Word, is_linear, is_nested
+from .f2 import BinaryCode, Record, Word, is_linear, is_nested
 
 Point = tuple[int, ...]
 KeyCounts = frozenset[tuple[tuple[int, ...], int]]  # folded keys with multiplicities
@@ -71,40 +71,24 @@ class _FoldTable(dict):
         return fold
 
 
-class CodeChain:
+class CodeChain(Record):
     """L binary codes of a common length, scaled by 1, 2, ..., 2^(L-1).
 
     Equal when the codes are equal level by level; ``codes`` is read-only.
     """
 
+    _fields = ("codes",)
     codes: tuple[BinaryCode, ...]
 
     def __init__(self, codes: Iterable[BinaryCode]):
-        if not isinstance(codes, tuple):
-            codes = tuple(codes)
+        codes = tuple(codes)
         if len(codes) < 1:
             raise ValueError("a chain needs at least one level")
         n = codes[0].n
         for code in codes:
             if code.n != n:
                 raise ValueError("all codes in a chain must share one length")
-        object.__setattr__(self, "codes", codes)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"CodeChain.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not CodeChain:
-            return NotImplemented
-        return self.codes == other.codes
-
-    def __hash__(self):
-        return hash(self.codes)
-
-    def __repr__(self):
-        return f"CodeChain(codes={self.codes!r})"
+        super().__init__(codes)
 
     @classmethod
     def of(cls, *codes: BinaryCode) -> "CodeChain":

@@ -80,18 +80,56 @@ class SpanTracker:
         return True
 
 
-class BinaryCode:
+class Record:
+    """A read-only value named by the ``_fields`` of its class, in order.
+
+    A subclass validates its input in ``__init__`` and then stores the fields
+    with ``super().__init__(*values)``.  Two records are equal when they have
+    the same type and equal fields; a one-field record hashes as its field,
+    and a record with several fields as the tuple of them.  Setting or
+    deleting any attribute raises ``AttributeError``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        # object.__setattr__, not self.__dict__: reading __dict__ would give up
+        # CPython's inline attribute values and slow every later field read
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+        # what equality and hashing read: the field, or the tuple of several
+        object.__setattr__(self, "_key", values[0] if len(values) == 1 else values)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class BinaryCode(Record):
     """A nonempty set of equal-length binary words.
 
     Equal when n and the words are equal; the fields are read-only.
     """
 
+    _fields = ("n", "words")
     n: int
     words: frozenset[Word]
 
     def __init__(self, n: int, words: Iterable[Word]):
-        if not isinstance(words, frozenset):
-            words = frozenset(words)
+        words = frozenset(words)
         _check_length(n)
         if not words:
             raise ValueError("a code must contain at least one word")
@@ -101,24 +139,7 @@ class BinaryCode:
             if len(w) != n:
                 raise ValueError(f"word {w} does not have length {n}")
             _check_word(w)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "words", words)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"BinaryCode.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not BinaryCode:
-            return NotImplemented
-        return self.n == other.n and self.words == other.words
-
-    def __hash__(self):
-        return hash((self.n, self.words))
-
-    def __repr__(self):
-        return f"BinaryCode(n={self.n!r}, words={self.words!r})"
+        super().__init__(n, words)
 
     @property
     def size(self) -> int:

@@ -11,10 +11,10 @@ from math import prod
 from typing import Iterable, NamedTuple, Sequence
 
 from .constellation import CodeChain, Point, check_work, residues
-from .f2 import SpanTracker, Word, schur_closed_chain, unpack
+from .f2 import Record, SpanTracker, Word, schur_closed_chain, unpack
 
 
-class IntegerLattice:
+class IntegerLattice(Record):
     """Full-rank sublattice of Z^n with a row-style Hermite Normal Form basis.
 
     The basis is upper triangular with positive diagonal; entries above each
@@ -23,11 +23,15 @@ class IntegerLattice:
     lattice equality.
     """
 
+    _fields = ("n", "basis", "determinant")
     n: int
     basis: tuple[tuple[int, ...], ...]
     determinant: int
 
-    def __init__(self, n: int, basis: tuple[tuple[int, ...], ...], determinant: int):
+    def __init__(self, n: int, basis: Iterable[Iterable[int]], determinant: int):
+        basis = tuple(map(tuple, basis))
+        if len(basis) != n:
+            raise ValueError("basis must have n rows")
         for i, row in enumerate(basis):
             if len(row) != n:
                 raise ValueError("basis rows must have length n")
@@ -35,28 +39,7 @@ class IntegerLattice:
                 raise ValueError("basis is not in row Hermite Normal Form")
         if determinant != prod(row[i] for i, row in enumerate(basis)):
             raise ValueError("determinant does not match the basis diagonal")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "determinant", determinant)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"IntegerLattice.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return self.n, self.basis, self.determinant
-
-    def __eq__(self, other):
-        if type(other) is not IntegerLattice:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"IntegerLattice(n={self.n!r}, basis={self.basis!r}, determinant={self.determinant!r})"
+        super().__init__(n, basis, determinant)
 
     def contains(self, p: Sequence[int]) -> bool:
         """Exact membership by forward substitution along the pivots."""
@@ -129,7 +112,7 @@ def hnf(generators: Iterable[Sequence[int]]) -> IntegerLattice:
                 for t in range(i, n):
                     basis[j][t] -= q * basis[i][t]
     det = prod(basis[i][i] for i in range(n))
-    return IntegerLattice(n=n, basis=tuple(tuple(r) for r in basis), determinant=det)
+    return IntegerLattice(n=n, basis=basis, determinant=det)
 
 
 def smallest_lattice(chain: CodeChain) -> IntegerLattice:

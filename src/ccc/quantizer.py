@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .constellation import CodeChain, Point, check_work, residues
-from .f2 import BinaryCode
+from .f2 import BinaryCode, Record
 from .parallel import ordered_map
 from .presets import dplus_chain  # noqa: F401  re-exported as ccc.quantizer.dplus_chain
 
@@ -58,12 +58,13 @@ ROW_BLOCK = 2048  # samples decoded together: a block's (n x ROW_BLOCK) buffers 
 MAX_DECODE_WORK = 10**13
 
 
-class NsmEstimate:
+class NsmEstimate(Record):
     """A reproducible NSM estimate with its Monte Carlo standard error.
 
     Equal when all five fields are equal; the fields are read-only.
     """
 
+    _fields = ("value", "stderr", "samples", "seed", "covolume")
     value: float
     stderr: float
     samples: int
@@ -73,33 +74,7 @@ class NsmEstimate:
     def __init__(self, value: float, stderr: float, samples: int, seed: int, covolume: Fraction):
         if value <= 0 or stderr < 0:
             raise ValueError("estimate out of range")
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "stderr", stderr)
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "covolume", covolume)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"NsmEstimate.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-    def _key(self) -> tuple:
-        return self.value, self.stderr, self.samples, self.seed, self.covolume
-
-    def __eq__(self, other):
-        if type(other) is not NsmEstimate:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (
-            f"NsmEstimate(value={self.value!r}, stderr={self.stderr!r}, samples={self.samples!r},"
-            f" seed={self.seed!r}, covolume={self.covolume!r})"
-        )
+        super().__init__(value, stderr, samples, seed, covolume)
 
 
 def covolume(chain: CodeChain) -> Fraction:

@@ -22,6 +22,7 @@ from math import comb, factorial, isqrt
 from typing import Iterable, NamedTuple, Sequence
 
 from .constellation import CodeChain, Point, ResidueSet, check_work, contains, cw_members, decompose, residues
+from .f2 import Record
 from .spectrum import EdsWitness, cw_equidistant, default_eds_radius, eds_check
 
 MAX_SEARCH_CANDIDATES = 2**6 * 720  # signed permutations 2^n * n!, so n <= 6
@@ -29,34 +30,20 @@ MAX_SHELL_STEPS = 10**7  # shell-walk ends of the Euclidean partner search, esti
 MAX_REFLECTION_WORK = 10**8  # residue lookups of the reflection checks, one scan of R per coset
 
 
-class ReflectionMap:
+class ReflectionMap(Record):
     """Coordinate sign-flip map; an involution preserving squared norms.
 
     Equal when the signs are equal; ``signs`` is read-only.
     """
 
+    _fields = ("signs",)
     signs: tuple[int, ...]
 
-    def __init__(self, signs: tuple[int, ...]):
+    def __init__(self, signs: Iterable[int]):
+        signs = tuple(signs)
         if any(s not in (-1, 1) for s in signs):
             raise ValueError("reflection signs must be +1 or -1")
-        object.__setattr__(self, "signs", signs)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"ReflectionMap.{name} is read-only")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if type(other) is not ReflectionMap:
-            return NotImplemented
-        return self.signs == other.signs
-
-    def __hash__(self):
-        return hash(self.signs)
-
-    def __repr__(self):
-        return f"ReflectionMap(signs={self.signs!r})"
+        super().__init__(signs)
 
     def apply(self, p: Sequence[int]) -> Point:
         if len(p) != len(self.signs):

@@ -1,14 +1,16 @@
 """The record types: equality and hashing by value, positional and keyword
-construction, read-only fields, and the validating constructors' messages."""
+construction, read-only fields, reprs, pickle and deepcopy round trips, and
+the validating constructors' messages."""
 
 import copy
+import pickle
 import re
 from fractions import Fraction
 
 import pytest
 
 from ccc.constellation import CodeChain
-from ccc.f2 import BinaryCode
+from ccc.f2 import BinaryCode, Record
 from ccc.lattice import EquivalenceReport, IntegerLattice, NestedBasis
 from ccc.quantizer import NsmEstimate
 from ccc.spectrum import EdsWitness, SpectrumTable
@@ -42,6 +44,8 @@ RECORDS = [
         ({"n": 2, "basis": ((2, 1, 0), (0, 4)), "determinant": 8}, "basis rows must have length n"),
         ({"n": 2, "basis": ((2, 1), (1, 4)), "determinant": 8}, "basis is not in row Hermite Normal Form"),
         ({"n": 2, "basis": ((2, 1), (0, 4)), "determinant": 9}, "determinant does not match the basis diagonal"),
+        ({"n": 2, "basis": ((2, 1),), "determinant": 2}, "basis must have n rows"),
+        ({"n": 1, "basis": ((2,), (0,)), "determinant": 2}, "basis must have n rows"),
     ]),
     (NsmEstimate, {"value": 0.08, "stderr": 0.001, "samples": 1000, "seed": 3, "covolume": Fraction(16)},
      ("seed", 4), [
@@ -66,6 +70,7 @@ RECORDS = [
     (PartnerTrace, {"e1": (1, 0), "e2": (0, 1), "e1p": (-1, 0), "e2p": (0, 1), "delta": (0, 0), "zbar": (0, 0),
                     "yprime": (1, 2)}, ("delta", (1, 0)), []),
 ]
+HASH_AS_THE_FIELD = {CodeChain, ReflectionMap}  # the other records hash as the tuple of their fields
 
 
 @pytest.mark.parametrize("cls, fields, other, bad", RECORDS, ids=[case[0].__name__ for case in RECORDS])
@@ -75,11 +80,21 @@ def test_record_semantics(cls, fields, other, bad):
     assert cls(*fields.values()) == record == twin
     name, value = other
     assert cls(**dict(fields, **{name: value})) != record
-    if cls is SpectrumTable:  # its counts are a dict, as before
+    if issubclass(cls, Record):  # equal only to a record of exactly its type
+        twin_of_a_subclass = type(f"Sub{cls.__name__}", (cls,), {})(**fields)
+        assert twin_of_a_subclass != record and record != twin_of_a_subclass
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{f}={v!r}' for f, v in fields.items())})"
+    hashable = cls is not SpectrumTable  # its counts are a dict, as before
+    if hashable:
+        values = tuple(fields.values())
+        assert hash(twin) == hash(record) == hash(values[0] if cls in HASH_AS_THE_FIELD else values)
+    else:
         with pytest.raises(TypeError):
             hash(record)
-    else:
-        assert hash(twin) == hash(record)
+    for copied in (pickle.loads(pickle.dumps(record)), copy.deepcopy(record)):
+        assert type(copied) is cls and copied == record
+        if hashable:
+            assert hash(copied) == hash(record)
     for field in fields:
         assert getattr(record, field) == fields[field]
         with pytest.raises(AttributeError):
@@ -99,6 +114,13 @@ def test_constructors_coerce_and_the_basis_is_computed_once(monkeypatch):
     assert code == REP2 and isinstance(code.words, frozenset)
     chain = CodeChain([FULL2, code])
     assert chain == CodeChain.of(FULL2, REP2) and isinstance(chain.codes, tuple)
+    for signs in ([1, -1], (s for s in (1, -1))):
+        reflection = ReflectionMap(signs)
+        assert reflection == ReflectionMap((1, -1)) and hash(reflection) == hash((1, -1))
+    for basis in ([[2, 1], [0, 4]], (list(row) for row in ((2, 1), (0, 4)))):
+        lattice = IntegerLattice(2, basis, 8)
+        assert isinstance(lattice.basis, tuple) and all(isinstance(row, tuple) for row in lattice.basis)
+        assert lattice == IntegerLattice(2, ((2, 1), (0, 4)), 8) and hash(lattice) == hash((2, lattice.basis, 8))
     built = []
 
     class CountingTracker(ccc.f2.SpanTracker):
