@@ -42,6 +42,7 @@ MAX_RESIDUE_COUNT = 1 << 22
 MAX_SIGN_PATTERNS = 1 << 20  # membership tests in cw_members
 MAX_PERIOD_WORK = 10**8  # residue lookups of the period group's fixes checks
 MAX_WITNESS_WORK = 10**8  # coset-representative pairs of the closure witness scan
+MAX_SPECTRUM_WORK = 10**8  # folded keys of the class scan; table entries of a spectrum
 
 
 def _pack(p: Sequence[int], modulus: int) -> int:
@@ -129,9 +130,11 @@ class ResidueSet:
     Each residue is one packed word (``words``): coordinate j of n, reduced
     mod m = 2^L, sits in the L-bit lane at bit offset L * (n - 1 - j), so
     word order is the lexicographic order of the points.  Sums add lane-wise
-    with ``_translates``, and membership is a lookup in ``words``.  The point
-    views (``sorted``, ``_columns``, ``residues``) are unpacked on first use,
-    for the callers that read coordinates.
+    with ``_translates``, and membership (``in``, on a point) packs the point
+    and looks it up in ``words``.  The only other stored form is the
+    coordinate columns of the sorted words (``_columns``), unpacked on first
+    use for the folded keys; iterating the set zips them into points in
+    lexicographic order, one at a time, so no tuple of points is kept.
     """
 
     def __init__(self, n: int, modulus: int, words: frozenset[int], candidates: Sequence[Point] = ()):
@@ -147,11 +150,14 @@ class ResidueSet:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, p: Point) -> bool:
-        return p in self.residues
+    def __contains__(self, p: Sequence[int]) -> bool:
+        """Whether p is a residue; False for a wrong length or a coordinate outside [0, m)."""
+        m = self.modulus
+        return len(p) == self.n and all(0 <= x < m for x in p) and _pack(p, m) in self.words
 
-    def __iter__(self):
-        return iter(self.sorted)
+    def __iter__(self) -> Iterator[Point]:
+        """The residues as points, in lexicographic order, read from the coordinate columns."""
+        return zip(*self._columns)
 
     def _translates(self, words: Iterable[int], g: int) -> Iterator[int]:
         """w + g lane-wise mod 2^L for each w in words, in their order.
@@ -177,14 +183,6 @@ class ResidueSet:
     def _columns(self) -> tuple[tuple[int, ...], ...]:
         """The j-th coordinates of the sorted residues, one tuple per j."""
         return tuple(map(tuple, self._lanes(self._order)))
-
-    @cached_property
-    def sorted(self) -> tuple[Point, ...]:
-        return tuple(zip(*self._columns))
-
-    @cached_property
-    def residues(self) -> frozenset[Point]:
-        return frozenset(self.sorted)
 
     def fixes(self, g: Sequence[int]) -> bool:
         """Whether R + g = R; translation is a bijection, so R + g inside R suffices.
@@ -253,10 +251,11 @@ class ResidueSet:
         they share a coset of H and agree mod 2.  fn runs once per coset,
         when its first residue is reached; a caller that stops early leaves
         the later cosets uncalled, and the first x with a given answer is the
-        one a per-residue loop would find.
+        one a per-residue loop would find.  The points are read from the
+        iteration of the set, in step with the walk over the sorted words.
         """
         answers: dict[int, T] = {}  # first word of each coset reached -> its answer
-        for (w, first), x in zip(self._coset_walk(even), self.sorted):
+        for (w, first), x in zip(self._coset_walk(even), self):
             if w == first:
                 answers[w] = fn(x)
             yield x, answers[first]
@@ -287,11 +286,13 @@ class ResidueSet:
 
         The map is a bijection of (Z/m)^n, so the image of the residues has
         |R| points and equals the set exactly when every image, packed, is
-        in ``words``; the scan stops at the first that is not.
+        in ``words``.  The residues are read one point at a time from the
+        iteration of the set, and the scan stops at the first image that is
+        not a residue.
         """
         m, members = self.modulus, self.words
         lanes = [(s, k, x[k], shift) for s, k, shift in zip(signs, perm, self._shifts)]
-        for p in self.sorted:
+        for p in self:
             image = 0
             for s, k, xk, shift in lanes:
                 image |= ((s * (p[k] - xk)) % m) << shift
@@ -334,8 +335,11 @@ class ResidueSet:
         its first residue is a coset representative, and only the
         representatives are read.  The scan is shared by every caller on this
         residue set and advances only as far as some caller has read, so a
-        caller that stops early leaves the rest unread.
+        caller that stops early leaves the rest unread.  Each call checks the
+        scan's |R/H| * |R| folded keys against its guard before the first
+        class is yielded.
         """
+        check_work("spectrum class scan", self.coset_count() * len(self), MAX_SPECTRUM_WORK)
         found, seen, pending, lock = self._class_scan
         i = 0
         while True:

@@ -121,11 +121,7 @@ def smallest_lattice(chain: CodeChain) -> IntegerLattice:
     Generated by the residues together with the period translates 2^L * e_j,
     so it always contains every constellation point.
     """
-    rs = residues(chain)
-    m = chain.modulus
-    gens: list[Sequence[int]] = list(rs.sorted)
-    gens.extend(_unit_scaled(chain.n, m))
-    return hnf(gens)
+    return hnf([*residues(chain), *_unit_scaled(chain.n, chain.modulus)])
 
 
 class NestedBasis(NamedTuple):
@@ -298,7 +294,7 @@ def equivalence_report(chain: CodeChain) -> EquivalenceReport:
     lam = smallest_lattice(chain)
     equals_smallest = lam.points_per_period(m) == len(rs)
     closed, _ = schur_closed_chain(chain)
-    equals_d = chain.all_nested() and combination_residues(chain) == rs.residues
+    equals_d = chain.all_nested() and combination_residues(chain) == frozenset(rs)
     return EquivalenceReport(
         is_lattice=direct,
         equals_smallest_lattice=equals_smallest,

@@ -102,7 +102,7 @@ class _CosetDecoder(NamedTuple):
             shifts = np.zeros((1, chain.n))
         else:
             lower = CodeChain(codes=chain.codes[:-1])
-            shifts = np.array(residues(lower).sorted, dtype=np.float64)
+            shifts = np.array(list(residues(lower)), dtype=np.float64)
         code = chain.codes[-1]
         top = None if _is_even_weight(code) else np.array(code.sorted_words(), dtype=bool)
         return cls(shifts, chain.modulus // 2, chain.modulus, top)

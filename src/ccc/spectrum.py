@@ -20,7 +20,8 @@ not |R|^2, a count read before the walk as ``coset_count() * |R|``.
 The folded keys and the class scan are methods of ``ResidueSet``.  The scan is
 lazy and memoized on its residue set, so it runs at most once per residue set,
 whichever of ``eds_check``, ``kissing_stats`` or the isometry search asks
-first; this module keeps the work guards and builds the tables.
+first, and it checks its own |R/H| * |R| guard; this module keeps the
+per-table guard and builds the tables.
 ``key_counts`` reads the folded coordinate distances one coordinate column at
 a time from a fold table on the residue set, filled on demand with the
 differences the keys meet.  It is never sized by the modulus 2^L, so the keys
@@ -33,11 +34,10 @@ from collections import Counter
 from functools import lru_cache
 from math import isqrt
 from operator import mul
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .constellation import CodeChain, KeyCounts, Point, ResidueSet, check_work, contains, cw_members, residues
-
-MAX_SPECTRUM_WORK = 10**8
+from .constellation import MAX_SPECTRUM_WORK, CodeChain, KeyCounts, Point, ResidueSet, check_work, contains
+from .constellation import cw_members, residues
 
 
 class SpectrumTable(NamedTuple):
@@ -99,7 +99,7 @@ def eds_check(chain: CodeChain, r2max: int) -> tuple[bool, EdsWitness | None]:
     """
     rs = residues(chain)
     _check_table_work(rs, r2max)  # the cheap guard first: the class scan's needs the period group
-    classes = _spectrum_classes(rs)
+    classes = rs.spectrum_classes()
     first, keys = next(classes)
     ref = spectrum_at(chain, first, r2max, _keys=keys).counts
     for c, keys in classes:
@@ -131,7 +131,7 @@ def kissing_stats(chain: CodeChain) -> tuple[int, set[int]]:
     translates c +/- 2^L e_j guarantee neighbors at 4^L.  No table is built,
     so the only guard is the class scan's |R/H| * |R| keys.
     """
-    shells = [_nearest_shell(chain.modulus, keys) for _, keys in _spectrum_classes(residues(chain))]
+    shells = [_nearest_shell(chain.modulus, keys) for _, keys in residues(chain).spectrum_classes()]
     d2min = min(d2 for d2, _ in shells)
     return d2min, {count if d2 == d2min else 0 for d2, count in shells}
 
@@ -173,12 +173,6 @@ def _key_table(m: int, key: tuple[int, ...], r2max: int) -> tuple[tuple[int, int
                 nxt[j + d2] += a * cnt
         acc = nxt
     return tuple((d2, cnt) for d2, cnt in enumerate(acc) if cnt)
-
-
-def _spectrum_classes(rs: ResidueSet) -> Iterator[tuple[Point, KeyCounts]]:
-    """The residue set's spectrum classes, behind the |R/H| * |R| key work guard."""
-    check_work("spectrum class scan", rs.coset_count() * len(rs), MAX_SPECTRUM_WORK)
-    return rs.spectrum_classes()
 
 
 def _check_table_work(rs: ResidueSet, r2max: int) -> None:

@@ -71,7 +71,7 @@ def random_nested_chain(rng: random.Random, nmax: int = 4, levels: int = 3) -> C
 
 
 def random_member(rng: random.Random, chain: CodeChain, spread: int = 2) -> Point:
-    s = rng.choice(residues(chain).sorted)
+    s = rng.choice(tuple(residues(chain)))
     m = chain.modulus
     return tuple(x + m * rng.randint(-spread, spread) for x in s)
 
@@ -155,7 +155,7 @@ def nested_chains(draw, nmax: int = 7, lmax: int = 3) -> CodeChain:
 
 def eds_oracle(chain: CodeChain, r2max: int) -> tuple[bool, EdsWitness | None]:
     """Slow path of eds_check: a full spectrum at every residue, in sorted order."""
-    order = residues(chain).sorted
+    order = tuple(residues(chain))
     tables = [spectrum_at(chain, c, r2max).counts for c in order]
     ref = tables[0]
     for c, t in zip(order[1:], tables[1:]):
@@ -170,31 +170,31 @@ def eds_oracle(chain: CodeChain, r2max: int) -> tuple[bool, EdsWitness | None]:
 def kissing_oracle(chain: CodeChain) -> tuple[int, set[int]]:
     """Slow path of kissing_stats: a full spectrum at every residue."""
     m = chain.modulus
-    tables = [spectrum_at(chain, c, m * m).counts for c in residues(chain).sorted]
+    tables = [spectrum_at(chain, c, m * m).counts for c in residues(chain)]
     d2min = min(min(t) for t in tables)
     return d2min, {t.get(d2min, 0) for t in tables}
 
 
 def first_failing_pair(chain: CodeChain) -> tuple[Point, Point] | None:
     """Slow path of the closure witness: every residue pair, in lexicographic order."""
-    rs = residues(chain)
-    m = chain.modulus
-    for s in rs.sorted:
-        for t in rs.sorted:
-            if tuple((a + b) % m for a, b in zip(s, t)) not in rs:
+    members = residues_oracle(chain)
+    order, m = sorted(members), chain.modulus
+    for s in order:
+        for t in order:
+            if tuple((a + b) % m for a, b in zip(s, t)) not in members:
                 return s, t
     return None
 
 
 def closure_oracle(chain: CodeChain) -> bool:
     """Slow path of the closure verdict: translate R by every scaled codeword."""
-    rs = residues(chain)
+    members = residues_oracle(chain)
     m = chain.modulus
     return all(
-        tuple((a + (b << level)) % m for a, b in zip(s, w)) in rs
+        tuple((a + (b << level)) % m for a, b in zip(s, w)) in members
         for level, code in enumerate(chain.codes)
         for w in code.sorted_words()
-        for s in rs.sorted
+        for s in members
     )
 
 
@@ -225,7 +225,7 @@ def period_points(rs: ResidueSet) -> frozenset[Point]:
 
 def fixes_oracle(rs: ResidueSet, g: Sequence[int]) -> bool:
     """Slow path of ResidueSet.fixes: R + g inside R, one coordinate at a time."""
-    m, members = rs.modulus, rs.residues
+    m, members = rs.modulus, frozenset(rs)
     return all(tuple((x + y) % m for x, y in zip(s, g)) in members for s in members)
 
 
@@ -254,7 +254,7 @@ def coset_firsts_oracle(rs: ResidueSet, even: bool = False) -> dict[Point, Point
     m = rs.modulus
     group = [h for h in period_group_oracle(rs) if not even or all(v % 2 == 0 for v in h)]
     first: dict[Point, Point] = {}
-    for x in rs.sorted:
+    for x in rs:
         if x not in first:
             for h in group:
                 first[tuple((a + b) % m for a, b in zip(x, h))] = x
@@ -263,19 +263,19 @@ def coset_firsts_oracle(rs: ResidueSet, even: bool = False) -> dict[Point, Point
 
 def first_pair_outside_oracle(rs: ResidueSet) -> tuple[Point, Point] | None:
     """Slow path of ResidueSet.first_pair_outside: coset-representative pairs, added on tuples."""
-    m, firsts = rs.modulus, coset_firsts_oracle(rs)
-    reps = [x for x in rs.sorted if firsts[x] == x]
+    m, firsts, members = rs.modulus, coset_firsts_oracle(rs), frozenset(rs)
+    reps = [x for x in rs if firsts[x] == x]
     for s in reps:
         for t in reps:
-            if tuple((a + b) % m for a, b in zip(s, t)) not in rs.residues:
+            if tuple((a + b) % m for a, b in zip(s, t)) not in members:
                 return s, t
     return None
 
 
 def maps_onto_oracle(rs: ResidueSet, x: Sequence[int], perm: Sequence[int], signs: Sequence[int]) -> bool:
     """Slow path of ResidueSet.maps_onto: every image point built as a tuple and looked up among the points."""
-    m = rs.modulus
-    return all(tuple((s * (p[k] - x[k])) % m for s, k in zip(signs, perm)) in rs.residues for p in rs.residues)
+    m, members = rs.modulus, frozenset(rs)
+    return all(tuple((s * (p[k] - x[k])) % m for s, k in zip(signs, perm)) in members for p in members)
 
 
 def folded_key_oracle(m: int, s: Sequence[int], c: Sequence[int]) -> tuple[int, ...]:
@@ -289,8 +289,8 @@ def class_scan_oracle(chain: CodeChain) -> list[Point]:
     m = chain.modulus
     seen: set[frozenset] = set()
     reps: list[Point] = []
-    for c in rs.sorted:
-        keys = Counter(folded_key_oracle(m, s, c) for s in rs.sorted)
+    for c in rs:
+        keys = Counter(folded_key_oracle(m, s, c) for s in rs)
         sig = frozenset(keys.items())
         if sig not in seen:
             seen.add(sig)
@@ -304,7 +304,7 @@ def gu_two_level_oracle(chain: CodeChain) -> GuTwoLevelResult:
     rs = residues(chain)
     identity = tuple(range(chain.n))
     certs: list[GuCertificate] = []
-    for x in rs.sorted:
+    for x in rs:
         signs = reflection_for(chain, x).signs
         if not rs.maps_onto(x, identity, signs):
             return GuTwoLevelResult(uniform=False, certificates=tuple(certs), failing=x)
@@ -319,7 +319,7 @@ def gu_search_oracle(chain: CodeChain) -> GuSearchResult:
         return GuSearchResult("refuted_by_eds", witness, (), None)
     rs = residues(chain)
     found: list[IsometryCandidate] = []
-    for x in rs.sorted:
+    for x in rs:
         hit = next(
             (
                 (perm, signs)
@@ -341,7 +341,7 @@ def members(chain: CodeChain, spread: int = 2):
     """Strategy: a residue plus a period translate with multipliers in [-spread, spread]."""
     n, m = chain.n, chain.modulus
     return st.tuples(
-        st.sampled_from(residues(chain).sorted),
+        st.sampled_from(tuple(residues(chain))),
         st.lists(st.integers(-spread, spread), min_size=n, max_size=n),
     ).map(lambda t: tuple(s + m * z for s, z in zip(*t)))
 
@@ -392,7 +392,7 @@ def residue_scan(chain: CodeChain, w: np.ndarray) -> np.ndarray:
     squared folded distance to any residue."""
     m = chain.modulus
     best: np.ndarray | None = None
-    for s in np.array(sorted(residues(chain).residues), dtype=np.float64):
+    for s in np.array(list(residues(chain)), dtype=np.float64):
         diff = np.abs(w - s)
         np.minimum(diff, m - diff, out=diff)
         d2 = np.einsum("bn,bn->b", diff, diff)

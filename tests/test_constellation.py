@@ -18,7 +18,9 @@ from ccc.constellation import (
     residues,
 )
 from ccc.f2 import code_from_words, span
+from ccc.lattice import equivalence_report
 from ccc.presets import dplus_chain
+from ccc.uniformity import gu_check_two_level
 
 from conftest import (
     coset_firsts_oracle,
@@ -44,20 +46,20 @@ from conftest import (
 
 def test_residues_example1(e1):
     rs = residues(e1)
-    assert rs.residues == frozenset({(0, 0), (1, 1)})
+    assert frozenset(rs) == frozenset({(0, 0), (1, 1)})
     assert rs.modulus == 4
     assert len(rs) == e1.residue_count() == 2
 
 
 def test_residues_example3(e3):
-    assert residues(e3).residues == frozenset({(0,), (1,), (2,), (3,)})
+    assert frozenset(residues(e3)) == frozenset({(0,), (1,), (2,), (3,)})
     assert e3.modulus == 8
 
 
 def test_residues_zero_codes():
     zero = code_from_words([(0, 0)])
     chain = CodeChain.of(zero, zero)
-    assert residues(chain).residues == frozenset({(0, 0)})
+    assert frozenset(residues(chain)) == frozenset({(0, 0)})
 
 
 def test_residue_guard():
@@ -150,7 +152,7 @@ def test_single_level_linear_residues_form_subgroup():
         code = span([tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(0, n))], n=n)
         chain = CodeChain.of(code)
         rs = residues(chain)
-        assert subgroup_closure(set(rs.residues), chain.modulus) == set(rs.residues)
+        assert subgroup_closure(set(rs), chain.modulus) == set(rs)
 
 
 def test_chain_requires_matching_lengths():
@@ -181,13 +183,13 @@ def _check_period_cosets(chain: CodeChain) -> None:
     rep_of = dict(rs.per_coset(lambda r: r))
     add = lambda a, b: tuple((x + y) % m for x, y in zip(a, b))
     for h in group:
-        assert {add(s, h) for s in rs.sorted} == rs.residues
+        assert {add(s, h) for s in rs} == frozenset(rs)
     assert all(add(a, b) in group for a in group for b in group)
     # H is all of R exactly when R is a subgroup, that is when the chain is a lattice
-    assert (group == rs.residues) == (first_failing_pair(chain) is None)
-    assert set(rep_of) == rs.residues
-    assert all(rep_of[x] == min(add(x, h) for h in group) for x in rs.sorted)
-    assert rs.coset_count() == sum(rep_of[x] == x for x in rs.sorted)
+    assert (group == frozenset(rs)) == (first_failing_pair(chain) is None)
+    assert set(rep_of) == frozenset(rs)
+    assert all(rep_of[x] == min(add(x, h) for h in group) for x in rs)
+    assert rs.coset_count() == sum(rep_of[x] == x for x in rs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -208,7 +210,7 @@ def _check_per_coset(chain: CodeChain, data) -> None:
     group = period_points(rs)
 
     def first_of(sub):  # each residue's first coset member, by brute force
-        return {x: min(tuple((a + b) % m for a, b in zip(x, h)) for h in sub) for x in rs.sorted}
+        return {x: min(tuple((a + b) % m for a, b in zip(x, h)) for h in sub) for x in rs}
 
     first_h = first_of(group)
     first_even = first_of([h for h in group if all(v % 2 == 0 for v in h)])
@@ -222,7 +224,7 @@ def _check_per_coset(chain: CodeChain, data) -> None:
         # (a) one call per coset, on its first residue, and every residue gets that answer
         out = list(rs.per_coset(fn, even=even))
         assert calls == sorted(set(first.values()))
-        assert out == [(x, ("answer", first[x])) for x in rs.sorted]
+        assert out == [(x, ("answer", first[x])) for x in rs]
         # (b) an iterator stopped after k residues has called only the cosets reached so far
         k = data.draw(st.integers(0, len(rs)), label="k")
         calls.clear()
@@ -231,12 +233,12 @@ def _check_per_coset(chain: CodeChain, data) -> None:
     # (c) with even=True, two residues share an answer exactly when they share
     # a coset of H and agree mod 2
     answer = dict(rs.per_coset(lambda r: object(), even=True))
-    key = {x: (first_h[x], tuple(v % 2 for v in x)) for x in rs.sorted}
-    pairs = {(id(answer[x]), key[x]) for x in rs.sorted}
+    key = {x: (first_h[x], tuple(v % 2 for v in x)) for x in rs}
+    pairs = {(id(answer[x]), key[x]) for x in rs}
     assert len(pairs) == len({id(a) for a in answer.values()}) == len(set(key.values()))
     # (d) the coset counts are the numbers of residues that represent themselves
-    assert rs.coset_count() == sum(first_h[x] == x for x in rs.sorted)
-    assert rs.coset_count(even=True) == sum(first_even[x] == x for x in rs.sorted)
+    assert rs.coset_count() == sum(first_h[x] == x for x in rs)
+    assert rs.coset_count(even=True) == sum(first_even[x] == x for x in rs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,17 +266,17 @@ def test_packed_core_matches_tuple_oracles(chain, data):
     # deep chains reach 12-bit lanes, where the carry out of a lane's top bit
     # must be dropped rather than spill into the next coordinate
     rs, m = residues(chain), chain.modulus
-    assert rs.residues == residues_oracle(chain) and rs.sorted == tuple(sorted(rs.residues))
+    assert tuple(rs) == tuple(sorted(residues_oracle(chain)))
     assert rs.period_words == frozenset(pack_point(m, h) for h in period_group_oracle(rs))
     firsts = coset_firsts_oracle(rs)
-    assert rs._representatives == [pack_point(m, x) for x in rs.sorted if firsts[x] == x]
+    assert rs._representatives == [pack_point(m, x) for x in rs if firsts[x] == x]
     for even in (False, True):
         firsts = coset_firsts_oracle(rs, even)
-        assert list(rs.per_coset(lambda r: r, even=even)) == [(x, firsts[x]) for x in rs.sorted]
+        assert list(rs.per_coset(lambda r: r, even=even)) == [(x, firsts[x]) for x in rs]
         assert rs.coset_count(even) == len(set(firsts.values()))
     assert rs.first_pair_outside() == first_pair_outside_oracle(rs)
     # a difference of residues (often a period) plus period translates, and any vector
-    r, s = data.draw(st.sampled_from(rs.sorted), label="r"), data.draw(st.sampled_from(rs.sorted), label="s")
+    r, s = data.draw(st.sampled_from(tuple(rs)), label="r"), data.draw(st.sampled_from(tuple(rs)), label="s")
     z = data.draw(st.lists(st.integers(-3, 3), min_size=chain.n, max_size=chain.n), label="z")
     anything = data.draw(st.lists(st.integers(-3 * m, 3 * m), min_size=chain.n, max_size=chain.n), label="g")
     for g in (tuple(a - b + m * k for a, b, k in zip(r, s, z)), tuple(anything)):
@@ -287,6 +289,34 @@ def test_packed_core_matches_tuple_oracles(chain, data):
     identity, odd = tuple(range(chain.n)), tuple(-1 if a % 2 else 1 for a in r)
     for args in ((x, perm, signs), (x, identity, (1,) * chain.n), (x, identity, odd)):
         assert rs.maps_onto(*args) == maps_onto_oracle(rs, *args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(small_chains(), deep_chains()), st.data())
+def test_membership_matches_residues_oracle(chain, data):
+    # `in` packs the point into a word, where a coordinate off by m, a
+    # negative one or a point of the wrong length could alias a residue
+    rs, m, oracle = residues(chain), chain.modulus, residues_oracle(chain)
+    assert all(p in rs for p in oracle)
+    r = data.draw(st.sampled_from(sorted(oracle)), label="residue")
+    j = data.draw(st.integers(0, chain.n - 1), label="j")
+    negative = data.draw(st.integers(-3 * m, -1), label="negative")
+    outside = [r[:j] + (v,) + r[j + 1 :] for v in (r[j] + m, r[j] - m, negative)] + [r + (0,), r[:-1]]
+    assert not any(p in rs for p in outside)
+    anything = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=chain.n, max_size=chain.n), label="p"))
+    assert (anything in rs) == (anything in oracle)
+
+
+def test_no_attribute_keeps_the_residues_as_points():
+    # the residues are stored as words and coordinate columns; the commands
+    # that read points unpack them where they read them
+    chain = dplus_chain(8)
+    residues.cache_clear()
+    assert gu_check_two_level(chain).uniform and equivalence_report(chain).is_lattice
+    rs = residues(chain)
+    for name, value in vars(rs).items():
+        points = isinstance(value, (tuple, list, set, frozenset)) and len(value) == len(rs)
+        assert not (points and any(isinstance(v, tuple) for v in value)), name
 
 
 @pytest.mark.parametrize("modulus", [1, 6])
@@ -310,10 +340,10 @@ def test_key_counts_match_folded_key_oracle(chain, data):
     # first one filled, and deep chains fold distances up to 2^11
     rs, m = residues(chain), chain.modulus
     for label in ("first", "second"):
-        r = data.draw(st.sampled_from(rs.sorted), label=f"{label} residue")
+        r = data.draw(st.sampled_from(tuple(rs)), label=f"{label} residue")
         z = data.draw(st.lists(st.integers(-(1 << 40), 1 << 40), min_size=chain.n, max_size=chain.n), label=label)
         c = tuple(a + m * b for a, b in zip(r, z))
-        assert rs.key_counts(c) == frozenset(Counter(folded_key_oracle(m, s, c) for s in rs.sorted).items())
+        assert rs.key_counts(c) == frozenset(Counter(folded_key_oracle(m, s, c) for s in rs).items())
 
 
 def test_period_group_guard_counts_the_fixes_lookups(monkeypatch):

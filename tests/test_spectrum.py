@@ -220,6 +220,17 @@ def test_class_scan_guard_counts_the_keys_it_reads():
     assert eds_check(dplus_chain(14), 64) == (True, None)
 
 
+def test_class_scan_checks_its_own_guard(monkeypatch):
+    # 16,383 hand-built residues mod 128 with no candidate, so H = {0}: the
+    # public method refuses the 16,383^2 folded keys before reading one
+    rs = ResidueSet(2, 128, frozenset(range(1, 1 << 14)))
+    centers = []
+    monkeypatch.setattr(ResidueSet, "key_counts", lambda self, c: centers.append(c) or frozenset())
+    with pytest.raises(ValueError, match=r"^spectrum class scan: work 268402689 exceeds the guard of 100000000$"):
+        list(rs.spectrum_classes())
+    assert centers == []
+
+
 def count_folded_keys(monkeypatch) -> list[int]:
     """Count the folded keys read: |R| per key_counts call."""
     calls = [0]
