@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -148,11 +147,21 @@ class BinaryCode(Record):
     def sorted_words(self) -> list[Word]:
         return sorted(self.words)
 
-    @cached_property
+    @property
     def basis(self) -> tuple[Word, ...]:
-        """A spanning subset of the code's words, chosen in lexicographic order."""
-        tracker = SpanTracker(self.n)
-        return tuple(w for w in self.sorted_words() if tracker.add(w))
+        """A spanning subset of the code's words, chosen in lexicographic order.
+
+        Computed on first use and kept with object.__setattr__, as Record
+        stores its fields: a write to __dict__ would give up CPython's inline
+        attribute values and slow every later read of n and words.
+        """
+        try:
+            return self._basis
+        except AttributeError:
+            tracker = SpanTracker(self.n)
+            basis = tuple(w for w in self.sorted_words() if tracker.add(w))
+            object.__setattr__(self, "_basis", basis)
+            return basis
 
     def __contains__(self, w: Word) -> bool:
         return w in self.words

@@ -27,9 +27,17 @@ The normalized second moment (NSM) is estimated by quantizing seeded uniform
 samples from one period cube with the coset decoder; the cell volume is the
 period volume divided by the residue count, which is well defined for
 lattices and non-lattices alike because the constellation is periodic.  A
-cubic cell gives 1/12.  Each batch draws its samples from its own Philox
-generator, advanced to the batch's offset in the one seeded stream, so the
-samples do not depend on the batch layout or the worker count.
+cubic cell gives 1/12.  Each batch of SAMPLE_BATCH samples draws from its own
+Philox generator, advanced to the batch's offset in the one seeded stream, so
+the samples do not depend on the batch layout or the worker count.
+
+Every sample streams through one fixed workspace per worker, allocated before
+any worker starts: each ROW_BLOCK of a batch is drawn straight into the
+workspace, scaled into its coordinate-major buffer and decoded in place into
+the batch's distance buffer.  Besides those buffers the decoder makes only
+temporaries bounded by ROW_BLOCK (and BLOCK_BYTES for the codeword search),
+so memory is the worker count times about 5 * n * ROW_BLOCK + SAMPLE_BATCH
+doubles, whatever the sample count.
 
 numpy is imported only inside the decoder and the sampler, so the exact
 commands, which never decode, start without it.
@@ -39,7 +47,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .constellation import CodeChain, Point, check_work, residues
 from .f2 import BinaryCode, Record
@@ -134,57 +142,116 @@ class _CosetDecoder(NamedTuple):
                 arg[better] = start + j[better]
         return arg
 
-    def distances(self, w: np.ndarray) -> np.ndarray:
-        """Squared distance from each row of w (in [0, m)^n) to the constellation.
+    def decode(self, ws: _Workspace, best: np.ndarray) -> None:
+        """Write into best the squared distance from each of the first len(best)
+        samples held in ws.wt to the constellation.
 
-        The rows go in blocks of ROW_BLOCK, each held coordinate-major (one
-        row of samples per coordinate), so every step but the last is a
-        long vector operation.
+        Every step but the last is a long vector operation on one row of
+        samples per coordinate, and every array it writes is a buffer of ws.
         """
         import numpy as np
 
-        n = w.shape[1]
-        half = self.half
-        out = np.empty(len(w))
+        k, half = len(best), self.half
+        wt, d, e, diff, x = (ws.columns(buf, k) for buf in (ws.wt, ws.d, ws.e, ws.diff, ws.x))
+        rows, d2, odd = ws.rows[: k * ws.n].reshape(k, ws.n), ws.d2[:k], ws.odd[:k]
+        for i, c in enumerate(self.shifts):
+            # d = fold|w - c|, the distance to an even top digit; e = half - d is
+            # the distance to an odd one, since c + half is c's antipode mod m
+            for j in range(ws.n):  # a row at a time: a broadcast c would be buffered
+                np.subtract(wt[j], c[j], out=d[j])
+            np.abs(d, out=d)
+            np.subtract(self.modulus, d, out=e)
+            np.minimum(d, e, out=d)
+            np.subtract(half, d, out=e)
+            if self.top is None:
+                # Wagner's rule: the nearer digit per coordinate; on odd weight,
+                # flip the first coordinate whose two digits are nearest a tie
+                np.greater(d, half / 2, out=x)
+                np.logical_xor.reduce(x, axis=0, out=odd)
+                np.minimum(d, e, out=diff)
+                np.copyto(rows, diff.T)
+                # the odd rows, gathered into diff's storage, which is free again
+                at = np.flatnonzero(odd)
+                picked = diff.reshape(-1)[: len(at) * ws.n].reshape(len(at), ws.n)
+                np.take(rows, at, axis=0, out=picked, mode="clip")
+                np.multiply(at, ws.n, out=at)
+                np.add(at, picked.argmax(axis=1, out=ws.arg[: len(at)]), out=at)
+                flat, flip = rows.reshape(-1), d2[: len(at)]  # d2 is free until the einsum
+                np.take(flat, at, out=flip, mode="clip")  # in range: clip skips a buffered check
+                np.subtract(half, flip, out=flip)
+                flat[at] = flip
+            else:
+                np.subtract(e, d, out=diff)  # half - 2 * d: odd cost less even cost, over half
+                np.copyto(rows, diff.T)
+                np.take(self.top.T, self.top_index(rows), axis=1, out=x, mode="clip")
+                np.copyto(diff, d)
+                np.copyto(diff, e, where=x)
+                np.copyto(rows, diff.T)
+            # einsum sums each row's n products in a fixed lane order, so the
+            # rows go back to row-major to give the per-residue scan's bits
+            if i == 0:
+                np.einsum("bn,bn->b", rows, rows, out=best)
+            else:
+                np.einsum("bn,bn->b", rows, rows, out=d2)
+                np.minimum(best, d2, out=best)
+
+    def distances(self, w: np.ndarray) -> np.ndarray:
+        """Squared distance from each row of w (in [0, m)^n) to the constellation,
+        decoded ROW_BLOCK rows at a time through one workspace."""
+        import numpy as np
+
+        ws, out = _Workspace(w.shape[1]), np.empty(len(w))
         for start in range(0, len(w), ROW_BLOCK):
-            wt = np.ascontiguousarray(w[start : start + ROW_BLOCK].T)
-            d, e, diff = np.empty_like(wt), np.empty_like(wt), np.empty_like(wt)
-            x = np.empty(wt.shape, dtype=bool)
-            rows, d2 = np.empty(wt.shape[::-1]), np.empty(wt.shape[1])
-            best = out[start : start + wt.shape[1]]
-            for i, c in enumerate(self.shifts):
-                # d = fold|w - c|, the distance to an even top digit; e = half - d is
-                # the distance to an odd one, since c + half is c's antipode mod m
-                np.subtract(wt, c[:, None], out=d)
-                np.abs(d, out=d)
-                np.subtract(self.modulus, d, out=e)
-                np.minimum(d, e, out=d)
-                np.subtract(half, d, out=e)
-                if self.top is None:
-                    # Wagner's rule: the nearer digit per coordinate; on odd weight,
-                    # flip the first coordinate whose two digits are nearest a tie
-                    np.greater(d, half / 2, out=x)
-                    odd = np.flatnonzero(np.logical_xor.reduce(x, axis=0))
-                    np.minimum(d, e, out=diff)
-                    np.copyto(rows, diff.T)
-                    flat = rows.reshape(-1)
-                    at = odd * n + rows[odd].argmax(axis=1)
-                    flat[at] = half - flat[at]
-                else:
-                    np.subtract(e, d, out=diff)  # half - 2 * d: odd cost less even cost, over half
-                    np.copyto(rows, diff.T)
-                    np.take(self.top.T, self.top_index(rows), axis=1, out=x, mode="clip")
-                    np.copyto(diff, d)
-                    np.copyto(diff, e, where=x)
-                    np.copyto(rows, diff.T)
-                # einsum sums each row's n products in a fixed lane order, so the
-                # rows go back to row-major to give the per-residue scan's bits
-                if i == 0:
-                    np.einsum("bn,bn->b", rows, rows, out=best)
-                else:
-                    np.einsum("bn,bn->b", rows, rows, out=d2)
-                    np.minimum(best, d2, out=best)
+            block = w[start : start + ROW_BLOCK]
+            np.copyto(ws.columns(ws.wt, len(block)), block.T)
+            self.decode(ws, out[start : start + len(block)])
         return out
+
+
+class _Workspace:
+    """One worker's buffers, sized by n, ROW_BLOCK and SAMPLE_BATCH alone:
+    every sample the worker decodes passes through them."""
+
+    def __init__(self, n: int):
+        import numpy as np
+
+        self.n = n
+        size = n * ROW_BLOCK
+        # rows is row-major: a block's draws, then each coset's distances for the sum
+        self.rows, self.wt, self.d, self.e, self.diff = (np.empty(size) for _ in range(5))
+        self.x = np.empty(size, dtype=bool)
+        self.d2 = np.empty(ROW_BLOCK)
+        self.odd = np.empty(ROW_BLOCK, dtype=bool)
+        self.arg = np.empty(ROW_BLOCK, dtype=np.intp)
+        self.sums = np.empty(SAMPLE_BATCH)  # one batch's distances
+
+    def columns(self, buf: np.ndarray, k: int) -> np.ndarray:
+        """The first k samples of a coordinate-major buffer: a contiguous (n, k) view."""
+        return buf[: self.n * k].reshape(self.n, k)
+
+    def draw(self, seed: int, start: int, stop: int, m: int) -> Iterator[tuple[int, int]]:
+        """Rows start..stop-1 of the uniform [0, 1)^n stream of Philox(key=seed),
+        times m, one block of ROW_BLOCK rows at a time.
+
+        Each block is drawn into rows and scaled into wt, coordinate-major;
+        the block's offset from start and its row count are yielded once it
+        is in place.  Philox yields four 64-bit words per counter step and each
+        double takes one word, so row start begins start*n/4 steps in (start
+        is a multiple of 4).
+        """
+        import numpy as np
+
+        bitgen = np.random.Philox(key=seed)
+        bitgen.advance(start * self.n // 4)
+        gen = np.random.Generator(bitgen)
+        for offset in range(0, stop - start, ROW_BLOCK):
+            k = min(ROW_BLOCK, stop - start - offset)
+            draws = self.rows[: k * self.n].reshape(k, self.n)
+            gen.random(out=draws)
+            wt = self.columns(self.wt, k)
+            np.copyto(wt, draws.T)  # transposing in a multiply would be buffered
+            np.multiply(wt, m, out=wt)
+            yield offset, k
 
 
 def nearest(chain: CodeChain, w: Sequence[float]) -> Point:
@@ -219,19 +286,6 @@ def nearest(chain: CodeChain, w: Sequence[float]) -> Point:
     return best_pt
 
 
-def _draws(seed: int, start: int, stop: int, n: int) -> np.ndarray:
-    """Rows start..stop-1 of the uniform [0, 1)^n stream of Philox(key=seed).
-
-    Philox yields four 64-bit words per counter step and each double takes one
-    word, so row start begins start*n/4 steps in (start is a multiple of 4).
-    """
-    import numpy as np
-
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(start * n // 4)
-    return np.random.Generator(bitgen).random((stop - start, n))
-
-
 def nsm_estimate(
     chain: CodeChain, samples: int, seed: int, threads: int = 1
 ) -> NsmEstimate:
@@ -240,7 +294,7 @@ def nsm_estimate(
     The sample stream comes from a counter-based generator in a fixed batch
     layout and the batch sums are combined with exact float summation, so the
     estimate is bit-identical for a given (seed, samples) regardless of the
-    worker count.
+    worker count.  Each worker decodes its batches through its own workspace.
     """
     if samples < 1000:
         raise ValueError(f"at least 1000 samples required, got {samples}")
@@ -253,12 +307,19 @@ def nsm_estimate(
     vol = covolume(chain)
     norm = n * float(vol) ** (2.0 / n)
 
-    def batch_sums(start: int) -> tuple[float, float]:
-        w = _draws(seed, start, min(start + SAMPLE_BATCH, samples), n) * m
-        g = dec.distances(w) / norm
-        return float(g.sum()), float((g * g).sum())
+    import numpy as np
 
-    sums = ordered_map(batch_sums, range(0, samples, SAMPLE_BATCH), threads)
+    def batch_sums(ws: _Workspace, start: int) -> tuple[float, float]:
+        stop = min(start + SAMPLE_BATCH, samples)
+        g = ws.sums[: stop - start]
+        for offset, k in ws.draw(seed, start, stop, m):
+            dec.decode(ws, g[offset : offset + k])
+        np.divide(g, norm, out=g)
+        total = float(g.sum())
+        np.multiply(g, g, out=g)  # the products and the sum of (g * g).sum(), in place
+        return total, float(g.sum())
+
+    sums = ordered_map(batch_sums, range(0, samples, SAMPLE_BATCH), threads, lambda: _Workspace(n))
     total = math.fsum(s for s, _ in sums)
     total_sq = math.fsum(q for _, q in sums)
     value = total / samples

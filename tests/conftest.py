@@ -176,7 +176,14 @@ def kissing_oracle(chain: CodeChain) -> tuple[int, set[int]]:
 
 
 def first_failing_pair(chain: CodeChain) -> tuple[Point, Point] | None:
-    """Slow path of the closure witness: every residue pair, in lexicographic order."""
+    """Slow path of the closure witness: every residue pair, in lexicographic order.
+
+    A closed set has no failing pair, and closure_oracle decides closure
+    without the |R|^2 scan: each residue is a sum of scaled codewords, so
+    R + c inside R for every scaled codeword c gives R + R inside R.
+    """
+    if closure_oracle(chain):
+        return None
     members = residues_oracle(chain)
     order, m = sorted(members), chain.modulus
     for s in order:

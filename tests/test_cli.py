@@ -1,9 +1,9 @@
-import concurrent.futures
 import io
 import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -314,32 +314,26 @@ def test_bad_thread_count_is_input_error(capsys, monkeypatch, command):
 
 
 def test_nsm_thread_pool_is_capped(capsys, monkeypatch):
-    class RecordingPool:
-        """Stands in for the thread pool: records its size, maps in the caller's thread."""
+    started: list[int] = []
 
-        sizes: list[int] = []
+    class CountingThread(threading.Thread):
+        """Stands in for the pool's worker threads: counts each one started."""
 
-        def __init__(self, max_workers):
-            self.sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
+        def start(self):
+            started.append(1)
+            super().start()
 
     argv = ["nsm", "--preset", "dplus3", "--samples", str(5 * 8192 - 100), "--seed", "3"]
     _, serial = run_json(capsys, *argv, "--threads", "1")
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 8)
-    code, capped = run_json(capsys, *argv, "--threads", "64")
-    assert code == 0 and capped == serial
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 3)
-    run_json(capsys, *argv, "--threads", "64")
-    assert RecordingPool.sizes == [5, 3]  # 5 batches, then 3 cores
+    monkeypatch.setattr(parallel.threading, "Thread", CountingThread)
+    sizes = []
+    for cores in (8, 3):
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: cores)
+        started.clear()
+        code, capped = run_json(capsys, *argv, "--threads", "64")
+        assert code == 0 and capped == serial
+        sizes.append(len(started))
+    assert sizes == [5, 3]  # 5 batches, then 3 cores
 
 
 def test_digest_is_canonical(capsys, tmp_path):

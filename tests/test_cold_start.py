@@ -1,6 +1,6 @@
 """Cold start: ``import ccc`` loads no submodule, each command loads only the
-modules it runs, only nsm loads numpy and the thread pool, and no command
-loads ``dataclasses`` (or, short of numpy, ``inspect``).
+modules it runs, only nsm loads numpy, and no command loads
+``concurrent.futures`` or ``dataclasses`` (or, short of numpy, ``inspect``).
 
 conftest.py imports numpy and most of ``ccc``, so the checks run in fresh
 interpreters.
@@ -94,8 +94,8 @@ def test_only_nsm_loads_numpy_and_the_thread_pool():
     assert out["nsm"] == [[0, NSM_REPORT], [0, NSM_REPORT]]
     assert "numpy" in out["after_nsm"]
     assert "dataclasses" not in out["after_nsm"]  # numpy loads inspect itself, but not dataclasses
-    # three batches at --threads 2 start a pool wherever there is a second core
-    assert ("concurrent.futures" in out["after_nsm"]) == ((os.cpu_count() or 1) > 1)
+    # three batches at --threads 2 start plain threads wherever there is a second core
+    assert "concurrent.futures" not in out["after_nsm"]
 
 
 LOADED = """

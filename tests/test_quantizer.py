@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from ccc.quantizer import (
     ROW_BLOCK,
     SAMPLE_BATCH,
     _CosetDecoder,
-    _draws,
+    _Workspace,
     covolume,
     nearest,
     nsm_estimate,
@@ -210,15 +211,26 @@ def test_nsm_branches_match_per_residue_oracle(wagner, chain):
 )
 def test_coset_decoder_distances_equal_residue_scan_bits(chain, blocks, tail, seed):
     # whole row blocks plus a ragged tail, on the sample grid nsm_estimate draws from
-    w = _draws(seed, 0, blocks * ROW_BLOCK + tail, chain.n) * chain.modulus
+    w = streamed(seed, 0, blocks * ROW_BLOCK + tail, chain.n, chain.modulus)
     assert np.array_equal(_CosetDecoder.of(chain).distances(w), residue_scan(chain, w))
+
+
+def streamed(seed: int, start: int, stop: int, n: int, m: int) -> np.ndarray:
+    """Rows start..stop-1 of the scaled sample stream, gathered from the
+    workspace's coordinate-major buffer block by block as nsm_estimate decodes them."""
+    ws, blocks, offsets = _Workspace(n), [], []
+    for offset, k in ws.draw(seed, start, stop, m):
+        offsets.append(offset)
+        blocks.append(ws.columns(ws.wt, k).T.copy())
+    assert offsets == list(range(0, stop - start, ROW_BLOCK))
+    return np.concatenate(blocks)
 
 
 @pytest.mark.parametrize("L", [1, 3, 10])
 def test_scaled_draws_lie_on_the_exact_grid(L):
     # random() returns k / 2^53, so a sample times 2^L is a multiple of 2^(L - 53)
     # and every fold difference in the coset decoder is exact
-    w = _draws(5, 0, 4096, 6) * 2.0**L
+    w = streamed(5, 0, 2 * ROW_BLOCK + 999, 6, 2**L)
     k = w * 2.0 ** (53 - L)
     assert np.array_equal(k, np.floor(k))
     assert ((0 <= w) & (w < 2**L)).all()
@@ -243,12 +255,36 @@ def test_nsm_pinned_at_benchmark_scale(chain, samples, threads, value, stderr):
     assert (repr(est.value), repr(est.stderr)) == (value, stderr)
 
 
+def traced_peak(chain: CodeChain, samples: int, threads: int) -> int:
+    """Peak bytes traced by tracemalloc, numpy's buffers included, during one nsm_estimate."""
+    tracemalloc.start()
+    try:
+        nsm_estimate(chain, samples, seed=0, threads=threads)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_nsm_memory_is_one_workspace_per_worker():
+    chain = dplus_chain(9)
+    nsm_estimate(chain, 20_000, seed=0)  # fills the lower code's residue cache
+    workspace = sum(a.nbytes for a in vars(_Workspace(chain.n)).values() if isinstance(a, np.ndarray))
+    # 80,000 more samples would add 80 kB to an array of one byte per sample,
+    # far over the slack, which covers the per-batch results and numpy's temporaries
+    slack = 48 * 1024
+    one = traced_peak(chain, 20_000, 1)
+    assert one <= workspace + slack
+    assert abs(traced_peak(chain, 100_000, 1) - one) <= slack
+    assert traced_peak(chain, 100_000, 2) <= 2 * one + slack
+
+
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_batch_draws_equal_one_shot_stream(n):
     samples = 3 * SAMPLE_BATCH + 1001
     one_shot = np.random.Generator(np.random.Philox(key=12345)).random((samples, n))
+    # batch starts past the first, each block of a batch, and a ragged tail
     batches = [
-        _draws(12345, start, min(start + SAMPLE_BATCH, samples), n)
+        streamed(12345, start, min(start + SAMPLE_BATCH, samples), n, 1)
         for start in range(0, samples, SAMPLE_BATCH)
     ]
     assert np.array_equal(np.concatenate(batches), one_shot)
