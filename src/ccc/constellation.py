@@ -29,13 +29,14 @@ from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from math import prod
-from operator import and_, not_, rshift, sub
+from operator import and_, mul, not_, rshift, sub
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .f2 import BinaryCode, Record, Word, is_linear, is_nested
 
 Point = tuple[int, ...]
 KeyCounts = frozenset[tuple[tuple[int, ...], int]]  # folded keys with multiplicities
+Shell = tuple[int, int]  # (least positive squared distance, point count there)
 T = TypeVar("T")
 
 MAX_RESIDUE_COUNT = 1 << 22
@@ -321,23 +322,46 @@ class ResidueSet:
         columns = [map(fold, map(sub, column, repeat(x % m))) for column, x in zip(self._columns, c)]
         return frozenset(Counter(map(tuple, map(sorted, zip(*columns)))).items())
 
+    def nearest_shell(self, keys: KeyCounts) -> Shell:
+        """The least positive squared distance around a center with these keys, and its point count.
+
+        A coset with nonzero folded key k is nearest the center at sum(k_j^2),
+        where each coordinate with k_j = m/2 has two nearest values (+/- m/2) and
+        every other coordinate one.  The center's own coset, key 0, is m * Z^n,
+        with 2n points at m^2.
+        """
+        m = self.modulus
+        half, best, count = m // 2, m * m, 0
+        for key, mult in keys:
+            if key[-1]:  # keys are sorted, so only the zero key ends in 0
+                d2, points = sum(map(mul, key, key)), mult << key.count(half)
+            else:
+                d2, points = m * m, 2 * len(key) * mult
+            if d2 < best:
+                best, count = d2, points
+            elif d2 == best:
+                count += points
+        return best, count
+
     @cached_property
     def _class_scan(self) -> tuple[list, set[KeyCounts], Iterator[Point], threading.Lock]:
-        # (representative, keys) of the classes found so far, their key multisets,
-        # coset representatives not yet read, unpacked as they are read
+        # (representative, keys, nearest shell) of the classes found so far,
+        # their key multisets, coset representatives not yet read, unpacked as
+        # they are read
         return [], set(), zip(*self._lanes(self._representatives)), threading.Lock()
 
-    def spectrum_classes(self) -> Iterator[tuple[Point, KeyCounts]]:
-        """The first residue of each spectrum class and its key multiset, in order.
+    def class_shells(self) -> Iterator[tuple[Point, KeyCounts, Shell]]:
+        """The first residue of each spectrum class, its key multiset and its nearest shell, in order.
 
         A class is the set of residues whose folded key multisets agree.  The
         multiset is the same on a coset of H, so a class is a union of cosets,
         its first residue is a coset representative, and only the
         representatives are read.  The scan is shared by every caller on this
         residue set and advances only as far as some caller has read, so a
-        caller that stops early leaves the rest unread.  Each call checks the
-        scan's |R/H| * |R| folded keys against its guard before the first
-        class is yielded.
+        caller that stops early leaves the rest unread; each class's
+        ``nearest_shell`` is computed once, when the scan finds the class.
+        Each call checks the scan's |R/H| * |R| folded keys against its guard
+        before the first class is yielded.
         """
         check_work("spectrum class scan", self.coset_count() * len(self), MAX_SPECTRUM_WORK)
         found, seen, pending, lock = self._class_scan
@@ -351,9 +375,14 @@ class ResidueSet:
                     sig = self.key_counts(c)
                     if sig not in seen:
                         seen.add(sig)
-                        found.append((c, sig))
+                        found.append((c, sig, self.nearest_shell(sig)))
             yield found[i]
             i += 1
+
+    def spectrum_classes(self) -> Iterator[tuple[Point, KeyCounts]]:
+        """The first residue of each spectrum class and its key multiset, in order: ``class_shells`` without the shells."""
+        for c, sig, _ in self.class_shells():
+            yield c, sig
 
 
 @lru_cache(maxsize=32)

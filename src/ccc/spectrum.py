@@ -8,20 +8,25 @@ profiles are permutation-invariant, so cosets are keyed by the sorted folded
 digit vector.  Everything is integer-exact; distances are always squared.
 
 Two centers whose folded keys agree as multisets have identical spectra at
-every radius.  The residues therefore fall into spectrum classes.  Equal
-spectra need one ``spectrum_at`` call per class, made at the class's
-lexicographically first residue with the key multiset the class scan read
-there; kissing numbers need only each class's nearest shell, read from its
-key multiset without a table.  The multiset is the same at x and x + h for a
-period h of the residue set, so the class scan runs on the coset
-representatives of ``ResidueSet``'s coset walk: |R/H| * |R| folded keys,
-not |R|^2, a count read before the walk as ``coset_count() * |R|``.
+every radius.  The residues therefore fall into spectrum classes, and the
+class scan records each class's nearest shell, (least positive squared
+distance, point count), read from its key multiset without a table.
+Kissing numbers need only the shells.  Equal spectra are compared shell
+first: a class whose shell differs from the first class's is refuted from
+the two shells, or agrees when both lie beyond the radius.  ``spectrum_at``
+tables, made at the class's lexicographically first residue with the key
+multiset the scan read there, are built only for classes whose shell agrees
+with the first's.  The multiset is the same at x and x + h for a period h
+of the residue set, so the class scan runs on the coset representatives of
+``ResidueSet``'s coset walk: |R/H| * |R| folded keys, not |R|^2, a count
+read before the walk as ``coset_count() * |R|``.
 
-The folded keys and the class scan are methods of ``ResidueSet``.  The scan is
-lazy and memoized on its residue set, so it runs at most once per residue set,
-whichever of ``eds_check``, ``kissing_stats`` or the isometry search asks
-first, and it checks its own |R/H| * |R| guard; this module keeps the
-per-table guard and builds the tables.
+The folded keys, the nearest shells and the class scan are methods of
+``ResidueSet``.  The scan is lazy and memoized on its residue set, so it runs
+at most once per residue set, and each class's shell is computed once,
+whichever of ``eds_check`` (at any radius), ``kissing_stats`` or the isometry
+search asks first; the scan checks its own |R/H| * |R| guard.  This module
+keeps the per-table guard and builds the tables.
 ``key_counts`` reads the folded coordinate distances one coordinate column at
 a time from a fold table on the residue set, filled on demand with the
 differences the keys meet.  It is never sized by the modulus 2^L, so the keys
@@ -33,7 +38,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from math import isqrt
-from operator import mul
 from typing import NamedTuple, Sequence
 
 from .constellation import MAX_SPECTRUM_WORK, CodeChain, KeyCounts, Point, ResidueSet, check_work, contains
@@ -92,17 +96,36 @@ def eds_check(chain: CodeChain, r2max: int) -> tuple[bool, EdsWitness | None]:
 
     Residues suffice as centers because period translates preserve spectra,
     and one center per spectrum class suffices because a class shares its
-    table.  The class tables are built one at a time and compared with the
-    first, stopping at the first that differs.  The witness is therefore the
-    first residue (in lexicographic order) whose table differs from the first
-    residue's, at the smallest disagreeing distance.
+    table.  Each class is compared with the first class shell-first: a table
+    holds nothing below its nearest shell (d2, count) and exactly count
+    points at d2, so two classes whose shells differ first disagree at the
+    smaller shell's d2, with the shell count there or 0 on each side, and
+    agree out to r2max when both shells lie beyond it.  Only classes whose
+    shells agree are compared by ``spectrum_at`` tables, and the first
+    class's table is built at most once, for the first such class; a
+    one-class chain builds none.  The witness is the first residue (in
+    lexicographic order) whose table differs from the first residue's, at
+    the smallest disagreeing distance.
     """
     rs = residues(chain)
     _check_table_work(rs, r2max)  # the cheap guard first: the class scan's needs the period group
-    classes = rs.spectrum_classes()
-    first, keys = next(classes)
-    ref = spectrum_at(chain, first, r2max, _keys=keys).counts
-    for c, keys in classes:
+    classes = rs.class_shells()
+    first, first_keys, (d2a, count_a) = next(classes)
+    ref = None
+    for c, keys, (d2b, count_b) in classes:
+        if (d2b, count_b) != (d2a, count_a):
+            d2 = min(d2a, d2b)
+            if d2 > r2max:
+                continue  # both tables are empty
+            return False, EdsWitness(
+                center_a=first,
+                center_b=c,
+                d2=d2,
+                count_a=count_a if d2a == d2 else 0,
+                count_b=count_b if d2b == d2 else 0,
+            )
+        if ref is None:
+            ref = spectrum_at(chain, first, r2max, _keys=first_keys).counts
         t = spectrum_at(chain, c, r2max, _keys=keys).counts
         if t == ref:
             continue
@@ -114,7 +137,7 @@ def eds_check(chain: CodeChain, r2max: int) -> tuple[bool, EdsWitness | None]:
             count_a=ref.get(d2, 0),
             count_b=t.get(d2, 0),
         )
-    if not ref:
+    if d2a > r2max:
         raise ValueError("r2max is below the minimum squared distance")
     return True, None
 
@@ -127,11 +150,12 @@ def default_eds_radius(chain: CodeChain) -> int:
 def kissing_stats(chain: CodeChain) -> tuple[int, set[int]]:
     """Global minimum squared distance and the set of per-member counts there.
 
-    Each class's nearest shell is read from its key multiset; the period
-    translates c +/- 2^L e_j guarantee neighbors at 4^L.  No table is built,
-    so the only guard is the class scan's |R/H| * |R| keys.
+    Each class's nearest shell is the one the class scan recorded from its
+    key multiset, shared with ``eds_check``; the period translates
+    c +/- 2^L e_j guarantee neighbors at 4^L.  No table is built, so the only
+    guard is the class scan's |R/H| * |R| keys.
     """
-    shells = [_nearest_shell(chain.modulus, keys) for _, keys in residues(chain).spectrum_classes()]
+    shells = [shell for _, _, shell in residues(chain).class_shells()]
     d2min = min(d2 for d2, _ in shells)
     return d2min, {count if d2 == d2min else 0 for d2, count in shells}
 
@@ -180,27 +204,6 @@ def _check_table_work(rs: ResidueSet, r2max: int) -> None:
     if r2max < 1:
         raise ValueError("r2max must be at least 1")
     check_work("spectrum enumeration", (r2max + 1) * len(rs), MAX_SPECTRUM_WORK)
-
-
-def _nearest_shell(m: int, keys: KeyCounts) -> tuple[int, int]:
-    """The least positive squared distance around a center with these keys, and its point count.
-
-    A coset with nonzero folded key k is nearest the center at sum(k_j^2),
-    where each coordinate with k_j = m/2 has two nearest values (+/- m/2) and
-    every other coordinate one.  The center's own coset, key 0, is m * Z^n,
-    with 2n points at m^2.
-    """
-    half, best, count = m // 2, m * m, 0
-    for key, mult in keys:
-        if key[-1]:  # keys are sorted, so only the zero key ends in 0
-            d2, points = sum(map(mul, key, key)), mult << key.count(half)
-        else:
-            d2, points = m * m, 2 * len(key) * mult
-        if d2 < best:
-            best, count = d2, points
-        elif d2 == best:
-            count += points
-    return best, count
 
 
 def _table_from_keys(m: int, keys: KeyCounts, r2max: int) -> dict[int, int]:

@@ -153,8 +153,23 @@ def nested_chains(draw, nmax: int = 7, lmax: int = 3) -> CodeChain:
     return CodeChain(codes=tuple(span(gens[:k], n=n) for k in sorted(cuts)))
 
 
+ORACLE_KEY_BUDGET = 1 << 14  # folded keys of a per-residue spectrum oracle: |R| keys at each of |R| centers
+
+
+def check_oracle_budget(routine: str, chain: CodeChain) -> None:
+    """Fail a per-residue spectrum oracle before it starts when |R|^2 keys exceed its budget.
+
+    small_chains() draw at most 4^3 residues, 4,096 keys; a strategy that
+    draws larger chains fails here at once instead of stalling the suite.
+    """
+    work = chain.residue_count() ** 2
+    if work > ORACLE_KEY_BUDGET:
+        pytest.fail(f"{routine}: {work} folded keys exceed the oracle budget of {ORACLE_KEY_BUDGET}")
+
+
 def eds_oracle(chain: CodeChain, r2max: int) -> tuple[bool, EdsWitness | None]:
     """Slow path of eds_check: a full spectrum at every residue, in sorted order."""
+    check_oracle_budget("eds_oracle", chain)
     order = tuple(residues(chain))
     tables = [spectrum_at(chain, c, r2max).counts for c in order]
     ref = tables[0]
@@ -169,6 +184,7 @@ def eds_oracle(chain: CodeChain, r2max: int) -> tuple[bool, EdsWitness | None]:
 
 def kissing_oracle(chain: CodeChain) -> tuple[int, set[int]]:
     """Slow path of kissing_stats: a full spectrum at every residue."""
+    check_oracle_budget("kissing_oracle", chain)
     m = chain.modulus
     tables = [spectrum_at(chain, c, m * m).counts for c in residues(chain)]
     d2min = min(min(t) for t in tables)

@@ -50,6 +50,34 @@ def test_eds_example3_exit_one(capsys):
     assert (w["count_a"], w["count_b"]) == (1, 2)
 
 
+def test_eds_shells_agree_but_spectra_differ(capsys, tmp_path):
+    # both classes have nearest shell (2, 1); the spectra first differ at 6
+    path = tmp_path / "shells.chain"
+    path.write_text("n 3\nL 3\ncode 1 explicit\n000\n101\ncode 2 explicit\n000\n011\ncode 3 explicit\n000\n100\n")
+    code, report = run_json(capsys, "eds", str(path))
+    assert code == 1
+    assert report["results"]["r2max"] == 256
+    assert report["results"]["witness"] == {"center_a": [0, 0, 0], "center_b": [0, 2, 2], "d2": 6, "count_a": 0, "count_b": 1}
+
+
+CHAINS = Path(__file__).parent / "chains"
+
+
+def test_spectrum_e8_theta_series(capsys):
+    # RM(1,3) + 2Z^8 is sqrt(2) E8: norms 2, 4, 6, 8 of E8's theta series, doubled
+    code, report = run_json(capsys, "spectrum", str(CHAINS / "e8.chain"), "--center", ",".join("0" * 8), "--r2max", "16")
+    assert code == 0
+    assert report["results"]["counts"] == [[4, 240], [8, 2160], [12, 6720], [16, 17520]]
+
+
+def test_eds_e8_one_class(capsys):
+    chain = parse_chain((CHAINS / "e8.chain").read_text())
+    assert len(list(ccc.residues(chain).spectrum_classes())) == 1  # a lattice: its residues form one class
+    code, report = run_json(capsys, "eds", str(CHAINS / "e8.chain"))
+    assert code == 0
+    assert report["results"] == {"eds": True, "r2max": 16, "witness": None}
+
+
 def test_theorem1_dplus4_all_true(capsys):
     code, report = run_json(capsys, "theorem1", "--preset", "dplus4")
     assert code == 0

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from ccc import spectrum as spectrum_mod
 from ccc.constellation import CodeChain, ResidueSet, contains, residues
 from ccc.f2 import code_from_words, span
-from ccc.presets import dplus_chain
-from ccc.spectrum import cw_count, cw_equidistant, eds_check, kissing_stats, spectrum_at
+from ccc.presets import dplus_chain, example5
+from ccc.spectrum import EdsWitness, cw_count, cw_equidistant, eds_check, kissing_stats, spectrum_at
 from ccc.uniformity import gu_subgroup_search
 
+import conftest
 from conftest import (
     brute_spectrum,
     class_scan_oracle,
@@ -183,9 +184,20 @@ def test_spectrum_classes_match_per_residue_oracles(chain, data):
 @example(CodeChain.of(code_from_words([(0, 0, 0, 0), (1, 1, 1, 1)])))  # (1,1,1,1) ties m * Z^4 at m^2
 @example(CodeChain.of(span([], n=4), code_from_words([(0, 0, 0, 0), (1, 1, 1, 1)])))  # (2,2,2,2) ties at m^2
 def test_nearest_shell_is_the_first_spectrum_entry(chain):
-    m = chain.modulus
-    for c, keys in residues(chain).spectrum_classes():
-        assert spectrum_mod._nearest_shell(m, keys) == min(spectrum_at(chain, c, m * m).counts.items())
+    rs, m2 = residues(chain), chain.modulus ** 2
+    for c, keys, shell in rs.class_shells():
+        assert rs.nearest_shell(keys) == shell == min(spectrum_at(chain, c, m2).counts.items())
+
+
+@pytest.mark.parametrize("oracle", [lambda chain: eds_oracle(chain, 64), kissing_oracle], ids=["eds", "kissing"])
+def test_spectrum_oracles_check_their_budget(monkeypatch, oracle):
+    # dplus_chain(7) has 128 residues, so 128^2 keys, one over the lowered budget
+    spectra = []
+    monkeypatch.setattr(conftest, "spectrum_at", lambda *args: spectra.append(args))
+    monkeypatch.setattr(conftest, "ORACLE_KEY_BUDGET", 128 * 128 - 1)
+    with pytest.raises(pytest.fail.Exception, match=r"oracle: 16384 folded keys exceed the oracle budget of 16383$"):
+        oracle(dplus_chain(7))
+    assert spectra == []
 
 
 def wide_trivial_period_chain() -> CodeChain:
@@ -263,9 +275,8 @@ def test_class_scan_runs_once_per_residue_set(monkeypatch):
         kissing_stats(chain)
         assert gu_subgroup_search(chain).verdict == "certified"
         # a lattice: one coset of its period group, so the scan reads the 16
-        # keys of one representative; eds_check's spectrum_at calls at it are
-        # handed the scan's keys, and kissing_stats reads its nearest shell
-        # from them
+        # keys of one representative; a one-class chain builds no table, and
+        # eds_check and kissing_stats read the shell the scan recorded
         assert calls[0] == 16
 
 
@@ -276,12 +287,14 @@ def trivial_period_chain() -> CodeChain:
     return CodeChain(codes=tuple(code_from_words(w) for w in words))
 
 
-def test_one_spectrum_at_call_per_class(monkeypatch):
-    # eds_check builds each class table by a spectrum_at call at the class's
-    # first residue; kissing_stats reads each class's nearest shell from its keys
-    chain = trivial_period_chain()
-    residues.cache_clear()
-    reps = [c for c, _ in residues(chain).spectrum_classes()]
+def shell_equal_chain() -> CodeChain:
+    """n = 3, L = 3: two classes share their nearest shell (2, 1) but part at d2 = 6."""
+    c1, c2, c3 = ([(0, 0, 0), w] for w in ((1, 0, 1), (0, 1, 1), (1, 0, 0)))
+    return CodeChain(codes=(code_from_words(c1), code_from_words(c2), code_from_words(c3)))
+
+
+def spy_spectrum_at(monkeypatch) -> list:
+    """Record the center of every spectrum_at call that eds_check makes."""
     centers = []
     original = spectrum_mod.spectrum_at
 
@@ -290,10 +303,73 @@ def test_one_spectrum_at_call_per_class(monkeypatch):
         return original(chain, c, r2max, **kwargs)
 
     monkeypatch.setattr(spectrum_mod, "spectrum_at", spy)
-    kissing_stats(chain)
+    return centers
+
+
+def shell_equal_centers(chain: CodeChain, witness: EdsWitness | None) -> list:
+    """Where eds_check builds tables: the first class, then each class up to the
+    witness (classes come in residue order) whose nearest shell is the first's;
+    none if no such class follows the first."""
+    (first, _, shell), *rest = residues(chain).class_shells()
+    later = [c for c, _, s in rest if s == shell and (witness is None or c <= witness.center_b)]
+    return [first] + later if later else []
+
+
+def test_one_spectrum_at_call_per_class(monkeypatch):
+    # eds_check compares nearest shells first and calls spectrum_at only where
+    # the shells agree: once per such class and once for the first class;
+    # kissing_stats reads each class's nearest shell and builds no table
+    centers = spy_spectrum_at(monkeypatch)
+    residues.cache_clear()
+    assert eds_check(dplus_chain(9), 64) == (True, None)  # one class: no table
     assert centers == []
-    uniform, witness = eds_check(chain, chain.modulus ** 2)
-    assert not uniform and centers == reps[: reps.index(witness.center_b) + 1]
+    e5 = example5()
+    assert eds_check(e5, 256) == (False, EdsWitness((0, 0, 0), (0, 1, 1), 2, 6, 4))  # refuted at the shells
+    kissing_stats(e5)
+    assert centers == []
+    for chain in (shell_equal_chain(), trivial_period_chain()):
+        centers.clear()
+        _, witness = eds_check(chain, chain.modulus ** 2)
+        assert centers == shell_equal_centers(chain, witness)
+    assert centers  # the trivial-period chain builds tables
+    assert shell_equal_centers(shell_equal_chain(), None) == [(0, 0, 0), (0, 2, 2)]
+    # three classes with shell (1, 1), equal out to 8: the first table is built once
+    chain = CodeChain(codes=tuple(map(code_from_words, ([(0, 0), (0, 1)], [(1, 0)], [(0, 0), (1, 0), (1, 1)]))))
+    centers.clear()
+    assert eds_check(chain, 8) == (True, None)
+    assert centers == shell_equal_centers(chain, None) == [(2, 0), (6, 0), (6, 4)]
+
+
+def test_shells_agree_but_spectra_differ():
+    # trusting the equal nearest shells alone would report equal spectra
+    chain = shell_equal_chain()
+    residues.cache_clear()
+    assert [shell for _, _, shell in residues(chain).class_shells()] == [(2, 1), (2, 1)]
+    assert eds_check(chain, 256) == (False, EdsWitness((0, 0, 0), (0, 2, 2), 6, 0, 1))
+    assert eds_check(chain, 5) == (True, None)  # the spectra agree below 6
+    assert eds_check(chain, 6) == eds_oracle(chain, 6)
+
+
+def test_nearest_shell_computed_once_per_class(monkeypatch):
+    # the class scan records each class's shell, so eds_check at m^2 and at
+    # 4m^2 (gu_subgroup_search's radius) and kissing_stats share it
+    calls = []
+    original = ResidueSet.nearest_shell
+
+    def spy(self, keys):
+        calls.append(keys)
+        return original(self, keys)
+
+    monkeypatch.setattr(ResidueSet, "nearest_shell", spy)
+    for chain in (dplus_chain(5), example5(), shell_equal_chain(), trivial_period_chain()):
+        residues.cache_clear()
+        calls.clear()
+        m2 = chain.modulus ** 2
+        first = _outcome(eds_check, chain, m2)
+        wide = _outcome(eds_check, chain, 4 * m2)
+        kissing_stats(chain)
+        assert _outcome(eds_check, chain, m2) == first and _outcome(eds_check, chain, 4 * m2) == wide
+        assert calls == [keys for _, keys in residues(chain).spectrum_classes()]
 
 
 @pytest.mark.parametrize(
@@ -304,8 +380,8 @@ def test_one_spectrum_at_call_per_class(monkeypatch):
         # the n <= 6 search guard refuses after the scan; the per-residue scan read 4,200,448
         (dplus_chain(11), 2, 2 * 2048),
         # no period but 0: the scan reads |R|^2 keys, as the per-residue scan
-        # did; eds_check's per-class spectrum_at calls are handed its keys
-        # instead of reading 48 each
+        # did; eds_check's spectrum_at calls, where the shells agree, are
+        # handed its keys instead of reading 48 each
         (trivial_period_chain(), 48, 48 * 48),
     ],
     ids=["dplus5", "dplus11", "trivial-period"],
