@@ -46,7 +46,7 @@ MAX_WITNESS_WORK = 10**8  # coset-representative pairs of the closure witness sc
 MAX_SPECTRUM_WORK = 10**8  # folded keys of the class scan; table entries of a spectrum
 
 
-def _pack(p: Sequence[int], modulus: int) -> int:
+def pack_residue(p: Sequence[int], modulus: int) -> int:
     """The point p mod 2^L as one word: coordinate j in the L-bit lane at offset L * (n - 1 - j)."""
     L, word = modulus.bit_length() - 1, 0
     for x in p:
@@ -90,7 +90,7 @@ class CodeChain(Record):
         for code in codes:
             if code.n != n:
                 raise ValueError("all codes in a chain must share one length")
-        super().__init__(codes)
+        self._store(codes)
 
     @classmethod
     def of(cls, *codes: BinaryCode) -> "CodeChain":
@@ -154,7 +154,7 @@ class ResidueSet:
     def __contains__(self, p: Sequence[int]) -> bool:
         """Whether p is a residue; False for a wrong length or a coordinate outside [0, m)."""
         m = self.modulus
-        return len(p) == self.n and all(0 <= x < m for x in p) and _pack(p, m) in self.words
+        return len(p) == self.n and all(0 <= x < m for x in p) and pack_residue(p, m) in self.words
 
     def __iter__(self) -> Iterator[Point]:
         """The residues as points, in lexicographic order, read from the coordinate columns."""
@@ -191,7 +191,7 @@ class ResidueSet:
         g's entries are reduced mod m, so any integer vector may be asked.
         """
         members = self.words
-        return all(map(members.__contains__, self._translates(members, _pack(g, self.modulus))))
+        return all(map(members.__contains__, self._translates(members, pack_residue(g, self.modulus))))
 
     @cached_property
     def period_words(self) -> frozenset[int]:
@@ -208,7 +208,7 @@ class ResidueSet:
         check_work("period_group", len(self.candidates) * len(self), MAX_PERIOD_WORK)
         group, members = [0], {0}
         for g in self.candidates:
-            word = _pack(g, self.modulus)
+            word = pack_residue(g, self.modulus)
             if word in members or not self.fixes(g):
                 continue
             block = group  # the cosets H + k*g are new until k*g falls in H
@@ -397,7 +397,7 @@ def residues(chain: CodeChain) -> ResidueSet:
     m = chain.modulus
     acc = [0]
     for level, code in enumerate(chain.codes):
-        scaled = [_pack(w, m) << level for w in code.words]
+        scaled = [pack_residue(w, m) << level for w in code.words]
         acc = [a | b for a in acc for b in scaled]
     words = frozenset(acc)
     if len(words) != count:

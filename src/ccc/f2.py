@@ -83,21 +83,32 @@ class Record:
     """A read-only value named by the ``_fields`` of its class, in order.
 
     A subclass validates its input in ``__init__`` and then stores the fields
-    with ``super().__init__(*values)``.  Two records are equal when they have
-    the same type and equal fields; a one-field record hashes as its field,
-    and a record with several fields as the tuple of them.  Setting or
-    deleting any attribute raises ``AttributeError``.
+    with ``self._store(*values)``.  Two records are equal when they have the
+    same type and equal fields; a one-field record hashes as its field, and a
+    record with several fields as the tuple of them.  Setting or deleting any
+    attribute raises ``AttributeError``.
     """
 
     _fields: tuple[str, ...] = ()
 
-    def __init__(self, *values):
-        # object.__setattr__, not self.__dict__: reading __dict__ would give up
-        # CPython's inline attribute values and slow every later field read
-        for name, value in zip(self._fields, values):
-            object.__setattr__(self, name, value)
-        # what equality and hashing read: the field, or the tuple of several
-        object.__setattr__(self, "_key", values[0] if len(values) == 1 else values)
+    def _store(self, *values):
+        """Store the fields; the first record of a class compiles its class's own store first.
+
+        That store has one statement per field and no loop over ``_fields``,
+        and later records of the class call it directly.  It stores with
+        object.__setattr__, not through self.__dict__: reading __dict__ would
+        give up CPython's inline attribute values and slow every later field
+        read.  ``_key``, the field or the tuple of several, is what equality
+        and hashing read.
+        """
+        cls = type(self)
+        args = ", ".join(f"v{i}" for i in range(len(cls._fields)))
+        body = [f"    _set(self, {name!r}, v{i})" for i, name in enumerate(cls._fields)]
+        key = "v0" if len(cls._fields) == 1 else f"({args})"
+        namespace = {"_set": object.__setattr__}
+        exec("\n".join([f"def _store(self, {args}):", *body, f"    _set(self, '_key', {key})"]), namespace)
+        cls._store = namespace["_store"]
+        cls._store(self, *values)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__}.{name} is read-only")
@@ -138,7 +149,7 @@ class BinaryCode(Record):
             if len(w) != n:
                 raise ValueError(f"word {w} does not have length {n}")
             _check_word(w)
-        super().__init__(n, words)
+        self._store(n, words)
 
     @property
     def size(self) -> int:

@@ -2,15 +2,22 @@
 
 Everything runs on arbitrary-precision integers: Hermite Normal Form gives a
 canonical basis, so lattice equality and membership are exact set questions.
-All lattices here contain 2^L * Z^n, which keeps every computation finite.
+All lattices here contain m * Z^n, m = 2^L, which keeps every computation
+finite: each is the preimage in Z^n of a subgroup of (Z/m)^n.  The smallest
+lattice holding a constellation comes from an elimination mod 2^L on the
+packed residue words (``howell_rows``), which leaves at most n
+pivot rows, and the Construction-D criterion compares packed words: the
+scaled nested-basis combinations, summed lane-wise, against the residue
+words.  ``hnf``, a Euclidean elimination over Z, takes explicit generator
+lists, such as Construction D's scaled basis rows.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .constellation import CodeChain, Point, check_work, residues
+from .constellation import CodeChain, Point, ResidueSet, check_work, pack_residue, residues
 from .f2 import Record, SpanTracker, Word, schur_closed_chain, unpack
 
 
@@ -39,7 +46,7 @@ class IntegerLattice(Record):
                 raise ValueError("basis is not in row Hermite Normal Form")
         if determinant != prod(row[i] for i, row in enumerate(basis)):
             raise ValueError("determinant does not match the basis diagonal")
-        super().__init__(n, basis, determinant)
+        self._store(n, basis, determinant)
 
     def contains(self, p: Sequence[int]) -> bool:
         """Exact membership by forward substitution along the pivots."""
@@ -102,8 +109,17 @@ def hnf(generators: Iterable[Sequence[int]]) -> IntegerLattice:
             pivot = [-x for x in pivot]
         basis.append(pivot)
         work = [r for r in work if any(r)]
-    # Reduce entries above each pivot into [0, pivot), sweeping pivots left to
-    # right so a reduction never disturbs an already-normalized column.
+    return _reduced_above_pivots(basis)
+
+
+def _reduced_above_pivots(basis: list[list[int]]) -> IntegerLattice:
+    """The lattice of an upper-triangular basis with positive diagonal, in Hermite Normal Form.
+
+    Entries above each pivot are reduced into [0, pivot), in place, sweeping
+    pivots left to right so a reduction never disturbs an already-normalized
+    column.
+    """
+    n = len(basis)
     for i in range(n):
         p = basis[i][i]
         for j in range(i):
@@ -115,13 +131,101 @@ def hnf(generators: Iterable[Sequence[int]]) -> IntegerLattice:
     return IntegerLattice(n=n, basis=basis, determinant=det)
 
 
+MAX_ELIMINATION_WORK = 10**8  # row operations of the elimination mod 2^L: rows times lanes
+
+
+def _lane_sum(n: int, m: int) -> Callable[[int, int], int]:
+    """x + y lane-wise mod m = 2^L, for words of n L-bit lanes: the sum the ``constellation`` docstring derives."""
+    L = m.bit_length() - 1
+    hi = sum(1 << (L * j + L - 1) for j in range(n))  # the top bit of every lane
+    lo = ((1 << (L * n)) - 1) ^ hi  # the other bits; 0 when L = 1
+    return lambda x, y: ((x & lo) + (y & lo)) ^ ((x ^ y) & hi)
+
+
+def howell_rows(rs: ResidueSet) -> list[Point | None]:
+    """An echelon basis, one row per lane, of the subgroup <R> the residues generate in (Z/m)^n.
+
+    Row j is None when lane j has no pivot: every element of <R> that is 0
+    in lanes 0..j-1 is 0 in lane j too.  Otherwise it is such an element
+    whose lane j reads 2^b, b the least 2-adic valuation any of them has
+    there, as a point with coordinates in [0, m).
+
+    This is elimination mod m = 2^L on the packed residue words (Howell,
+    Lin. Multilin. Algebra 1986; Storjohann & Mulders, ESA 1998), with every
+    residue a generator.  At lane j:
+
+    * the pivot is a row whose lane j has the least valuation b, multiplied
+      by the inverse of its odd unit so that the lane reads 2^b;
+    * every other row w loses (w_j / 2^b) times the pivot, so that its lane
+      j reads 0;
+    * 2^(L-b) times the pivot, whose lane j vanishes, joins the rows (the
+      Howell closure), so that the rows left span every element of <R> that
+      is 0 in lanes 0..j, the later lanes never needing the pivot;
+    * zeros and duplicates are dropped, so no lane has more than |R| rows.
+
+    Scalar multiples are taken by double-and-add with the lane-wise sum,
+    O(L) sums each, and kept per multiplier met in a lane, so nothing is
+    sized by 2^L.  Only ``rs.words`` is read, never the period subgroup or
+    the codes.  The |R| * n row operations are guarded before the first one.
+    """
+    n, m = rs.n, rs.modulus
+    check_work("howell_rows", len(rs) * n, MAX_ELIMINATION_WORK)
+    L, mask = m.bit_length() - 1, m - 1
+    add = _lane_sum(n, m)
+
+    def times(v: int, k: int) -> int:
+        acc = 0
+        while k:
+            if k & 1:
+                acc = add(acc, v)
+            v, k = add(v, v), k >> 1
+        return acc
+
+    shifts = [L * (n - 1 - j) for j in range(n)]  # lane j's bit offset
+    rows, pivots = rs.words - {0}, []
+    for shift in shifts:
+        pivot, low = 0, m  # low: 2^b, the least power of two dividing a lane-j entry
+        for w in rows:
+            a = w >> shift & mask
+            if a and a & -a < low:
+                pivot, low = w, a & -a
+        if not pivot:
+            pivots.append(None)
+            continue
+        b = low.bit_length() - 1
+        pivot = times(pivot, pow((pivot >> shift & mask) >> b, -1, m))
+        minus: dict[int, int] = {}  # lane-j entry a -> -(a / 2^b) * pivot
+        left = {times(pivot, m >> b)}  # the Howell closure row
+        for w in rows:
+            a = w >> shift & mask
+            if a:
+                g = minus.get(a)
+                if g is None:
+                    g = minus[a] = times(pivot, -(a >> b) & mask)
+                w = add(w, g)
+            left.add(w)
+        left.discard(0)
+        pivots.append(pivot)
+        rows = left
+    return [None if p is None else tuple(p >> s & mask for s in shifts) for p in pivots]
+
+
 def smallest_lattice(chain: CodeChain) -> IntegerLattice:
     """The smallest lattice containing the constellation.
 
-    Generated by the residues together with the period translates 2^L * e_j,
-    so it always contains every constellation point.
+    It is generated by the residues together with the period translates
+    m * e_j, m = 2^L, so it is the preimage in Z^n of the subgroup <R> the
+    residues generate in (Z/m)^n.  ``howell_rows`` eliminates mod m on the
+    packed words, every residue a generator, and leaves one row per lane j:
+    its pivot row, or m * e_j where lane j has no pivot.  The n rows
+    are upper triangular and lie in the lattice, and their diagonal product
+    is its index m^n / |<R>|, so they are a basis; reducing the entries
+    above each pivot gives the Hermite Normal Form, without passing the rows
+    through ``hnf``.
     """
-    return hnf([*residues(chain), *_unit_scaled(chain.n, chain.modulus)])
+    unit = _unit_scaled(chain.n, chain.modulus)
+    rows = howell_rows(residues(chain))
+    return _reduced_above_pivots([list(unit[j] if row is None else row) for j, row in enumerate(rows)])
 
 
 class NestedBasis(NamedTuple):
@@ -167,30 +271,25 @@ def select_nested_basis(chain: CodeChain) -> NestedBasis:
 MAX_COMBINATIONS = 1 << 22
 
 
-def combination_points(chain: CodeChain) -> list[Point]:
-    """All 0/1 combinations of the nested basis rows, scaled level by level.
+def combination_residues(chain: CodeChain) -> frozenset[int]:
+    """All 0/1 combinations of the nested basis rows, scaled level by level, as packed residue words.
 
-    These are the representatives (before adding period translates) of the
-    lattice the nested basis generates; there are 2^(k_1+...+k_L) of them.
+    These are the representatives of the lattice the nested basis generates,
+    reduced modulo the period: 2^(k_1+...+k_L) of them.  Each word is a
+    lane-wise sum of scaled rows, packed as ``residues`` packs its words
+    (coordinate j mod 2^L in lane j), so the set compares with
+    ``ResidueSet.words``.  The combinations are guarded before the first.
     """
     nb = select_nested_basis(chain)
-    n = chain.n
-    check_work("combination_points", 1 << sum(nb.dims), MAX_COMBINATIONS)
-    acc: list[Point] = [(0,) * n]
-    for level, k in enumerate(nb.dims):
-        scale = 1 << level
-        sums: list[Point] = [(0,) * n]
-        for row in nb.rows[:k]:
-            scaled = tuple(b * scale for b in row)
-            sums += [tuple(a + b for a, b in zip(s, scaled)) for s in sums]
-        acc = [tuple(a + b for a, b in zip(p, s)) for p in acc for s in sums]
-    return acc
-
-
-def combination_residues(chain: CodeChain) -> frozenset[Point]:
-    """The basis-combination points reduced modulo the period."""
+    check_work("combination_residues", 1 << sum(nb.dims), MAX_COMBINATIONS)
     m = chain.modulus
-    out = frozenset(tuple(x % m for x in p) for p in combination_points(chain))
+    add = _lane_sum(chain.n, m)
+    acc = [0]
+    for level, k in enumerate(nb.dims):
+        for row in nb.rows[:k]:
+            g = pack_residue(row, m) << level
+            acc += [add(a, g) for a in acc]
+    out = frozenset(acc)
     if len(out) != chain.residue_count():
         raise RuntimeError("basis combinations collided modulo the period")
     return out
@@ -199,15 +298,16 @@ def combination_residues(chain: CodeChain) -> frozenset[Point]:
 def construction_d(chain: CodeChain) -> IntegerLattice:
     """The lattice generated by the scaled nested-basis combinations.
 
-    The point count per period must come out as 2^(k_1+...+k_L), the
-    residue count |C_1|...|C_L|; anything else would mean the combination set
-    is not itself a lattice, which the nested linear hypothesis rules out.
+    Every combination is a sum of scaled rows, so the scaled rows and the
+    period translates generate it.  The point count per period must come out
+    as 2^(k_1+...+k_L), the residue count |C_1|...|C_L|; anything else would
+    mean the combination set is not itself a lattice, which the nested linear
+    hypothesis rules out.
     """
-    pts = combination_points(chain)
+    nb = select_nested_basis(chain)
     m = chain.modulus
-    gens: list[Sequence[int]] = sorted(set(pts))
-    gens.extend(_unit_scaled(chain.n, m))
-    lat = hnf(gens)
+    scaled = [tuple(b << level for b in row) for level, k in enumerate(nb.dims) for row in nb.rows[:k]]
+    lat = hnf([*scaled, *_unit_scaled(chain.n, m)])
     if lat.points_per_period(m) != chain.residue_count():
         raise RuntimeError("combination lattice has the wrong point count per period")
     return lat
@@ -294,7 +394,7 @@ def equivalence_report(chain: CodeChain) -> EquivalenceReport:
     lam = smallest_lattice(chain)
     equals_smallest = lam.points_per_period(m) == len(rs)
     closed, _ = schur_closed_chain(chain)
-    equals_d = chain.all_nested() and combination_residues(chain) == frozenset(rs)
+    equals_d = chain.all_nested() and combination_residues(chain) == rs.words
     return EquivalenceReport(
         is_lattice=direct,
         equals_smallest_lattice=equals_smallest,

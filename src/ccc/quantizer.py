@@ -82,7 +82,7 @@ class NsmEstimate(Record):
     def __init__(self, value: float, stderr: float, samples: int, seed: int, covolume: Fraction):
         if value <= 0 or stderr < 0:
             raise ValueError("estimate out of range")
-        super().__init__(value, stderr, samples, seed, covolume)
+        self._store(value, stderr, samples, seed, covolume)
 
 
 def covolume(chain: CodeChain) -> Fraction:

@@ -43,7 +43,7 @@ class ReflectionMap(Record):
         signs = tuple(signs)
         if any(s not in (-1, 1) for s in signs):
             raise ValueError("reflection signs must be +1 or -1")
-        super().__init__(signs)
+        self._store(signs)
 
     def apply(self, p: Sequence[int]) -> Point:
         if len(p) != len(self.signs):
@@ -82,7 +82,10 @@ def gu_check_two_level(chain: CodeChain) -> GuTwoLevelResult:
     maps 4*Z^n to itself.  T_x is a signed permutation with the identity
     permutation, so the test is the one the isometry search runs.  T_x
     reads x mod 2, so the check runs per coset with ``even=True``, and its
-    |R| lookups per coset are guarded before the first check.
+    |R| lookups per coset are guarded before the first check.  x is already
+    a residue, so its signs are read off x_j mod 2, its level-1 digit,
+    without ``reflection_for``'s membership test; ``maps_onto`` gives the
+    verdict.
     """
     if chain.L != 2:
         raise ValueError("the reflection certificate requires exactly two levels")
@@ -93,7 +96,7 @@ def gu_check_two_level(chain: CodeChain) -> GuTwoLevelResult:
     identity = tuple(range(chain.n))
 
     def check(x: Point) -> tuple[tuple[int, ...], bool]:
-        signs = reflection_for(chain, x).signs
+        signs = tuple(-1 if v & 1 else 1 for v in x)
         return signs, rs.maps_onto(x, identity, signs)
 
     certs: list[GuCertificate] = []

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from ccc.constellation import CodeChain, Point, ResidueSet, points_in_box, residues
 from ccc.f2 import BinaryCode, SpanTracker, Word, code_from_words, span, unpack
+from ccc.lattice import IntegerLattice, hnf, select_nested_basis
 from ccc.presets import example1, example3, example5
 from ccc.spectrum import EdsWitness, spectrum_at
 from ccc.uniformity import (
@@ -227,6 +228,28 @@ def residues_oracle(chain: CodeChain) -> frozenset[Point]:
         tuple(sum(w[j] << level for level, w in enumerate(words)) for j in range(chain.n))
         for words in product(*(code.sorted_words() for code in chain.codes))
     )
+
+
+def smallest_lattice_oracle(chain: CodeChain) -> IntegerLattice:
+    """Slow path of smallest_lattice: the Euclidean HNF over every residue and the period translates m * e_j."""
+    m, n = chain.modulus, chain.n
+    units = [tuple(m if k == j else 0 for k in range(n)) for j in range(n)]
+    return hnf([*sorted(residues_oracle(chain)), *units])
+
+
+def combination_residues_oracle(chain: CodeChain) -> frozenset[Point]:
+    """Slow path of combination_residues: every 0/1 combination of the scaled nested basis rows,
+    summed as a point tuple, then reduced mod m."""
+    nb = select_nested_basis(chain)
+    m, n = chain.modulus, chain.n
+    points: list[Point] = [(0,) * n]
+    for level, k in enumerate(nb.dims):
+        sums: list[Point] = [(0,) * n]
+        for row in nb.rows[:k]:
+            scaled = tuple(b << level for b in row)
+            sums += [tuple(a + b for a, b in zip(s, scaled)) for s in sums]
+        points = [tuple(a + b for a, b in zip(p, s)) for p in points for s in sums]
+    return frozenset(tuple(x % m for x in p) for p in points)
 
 
 def pack_point(m: int, p: Sequence[int]) -> int:

@@ -397,11 +397,23 @@ def deep_chain_text() -> str:
                 "witness": {"center_a": [0, 0], "center_b": [1, 1], "count_a": 1, "count_b": 2, "d2": 2},
             },
         ),
+        (
+            ("theorem1",),
+            1,
+            {
+                "consistent": True,
+                "equals_construction_d": False,
+                "equals_smallest_lattice": False,
+                "is_lattice": False,
+                "schur_closed": False,
+                "verdict": False,
+            },
+        ),
     ],
-    ids=["spectrum", "eds"],
+    ids=["spectrum", "eds", "theorem1"],
 )
 def test_deep_chain_reports(capsys, monkeypatch, argv, exit_code, results):
-    # nothing in the spectrum path may be sized by the modulus 2^40
+    # nothing in the spectrum or lattice paths may be sized by the modulus 2^40
     monkeypatch.setattr("sys.stdin", text_stdin(deep_chain_text()))
     start = time.perf_counter()
     code, report = run_json(capsys, *argv, "-")

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import example, given, settings
 
-from ccc import constellation
+from ccc import constellation, lattice
 from ccc.constellation import CodeChain, ResidueSet, residues
 from ccc.f2 import SpanTracker, code_from_words, span
 from ccc.lattice import (
@@ -11,6 +11,7 @@ from ccc.lattice import (
     construction_d,
     equivalence_report,
     hnf,
+    howell_rows,
     is_lattice_direct,
     select_nested_basis,
     smallest_lattice,
@@ -20,11 +21,15 @@ from ccc.presets import dplus_chain
 from conftest import (
     all_subspaces,
     closure_oracle,
+    combination_residues_oracle,
+    deep_chains,
     first_failing_pair,
     nested_basis_by_word_scan,
     nested_chains,
+    pack_point,
     random_nested_chain,
     small_chains,
+    smallest_lattice_oracle,
     subgroup_closure,
 )
 
@@ -101,6 +106,66 @@ def test_smallest_lattice_matches_group_closure_oracle():
         assert lam.points_per_period(m) == len(closure)
         for p in closure:
             assert lam.contains(p)
+
+
+HOWELL_CLOSURE = CodeChain.of(code_from_words([(0, 1)]), code_from_words([(1, 0)]))  # R = {(2, 1)} mod 4
+ODD_UNIT = CodeChain.of(*(code_from_words([w]) for w in [(1, 1), (1, 0), (0, 0), (0, 0)]))  # R = {(3, 1)} mod 16
+
+
+def test_smallest_lattice_howell_closure_and_odd_unit():
+    # <(2, 1)> mod 4 holds 2 * (2, 1) = (0, 2), which only the closure row brings to lane 1
+    assert smallest_lattice(HOWELL_CLOSURE).basis == ((2, 1), (0, 2))
+    # the pivot (3, 1) is multiplied by 3^-1 = 11 mod 16, so lane 0 reads 1
+    assert smallest_lattice(ODD_UNIT).basis == ((1, 11), (0, 16))
+    assert howell_rows(residues(HOWELL_CLOSURE)) == [(2, 1), (0, 2)]
+    assert howell_rows(residues(ODD_UNIT)) == [(1, 11), None]
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_chains())
+@example(HOWELL_CLOSURE)
+@example(ODD_UNIT)
+def test_smallest_lattice_matches_hnf_over_every_residue(chain):
+    assert smallest_lattice(chain) == smallest_lattice_oracle(chain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested_chains(nmax=5))
+def test_smallest_lattice_matches_hnf_over_every_residue_nested(chain):
+    residues.cache_clear()
+    assert smallest_lattice(chain) == smallest_lattice_oracle(chain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(deep_chains())
+def test_smallest_lattice_matches_hnf_over_every_residue_deep(chain):
+    assert smallest_lattice(chain) == smallest_lattice_oracle(chain)
+
+
+def test_elimination_guard_refuses_before_the_first_row_operation(monkeypatch):
+    # dplus5 has 2 * 16 residues in 5 lanes: 160 row operations
+    chain = dplus_chain(5)
+    adds = [0]
+    lane_sum = lattice._lane_sum
+
+    def counting_sum(n, m):
+        add = lane_sum(n, m)
+
+        def counted(x, y):
+            adds[0] += 1
+            return add(x, y)
+
+        return counted
+
+    monkeypatch.setattr(lattice, "_lane_sum", counting_sum)
+    monkeypatch.setattr(lattice, "MAX_ELIMINATION_WORK", 159)
+    for run in (lambda: howell_rows(residues(chain)), lambda: smallest_lattice(chain)):
+        with pytest.raises(ValueError, match=r"^howell_rows: work 160 exceeds the guard of 159$"):
+            run()
+    assert adds == [0]
+    monkeypatch.setattr(lattice, "MAX_ELIMINATION_WORK", 160)
+    assert smallest_lattice(chain) == smallest_lattice_oracle(chain)
+    assert adds[0] > 0
 
 
 def test_nested_basis_dplus4():
@@ -299,7 +364,14 @@ def test_equivalence_exhaustive_two_level_n2():
 
 def test_combination_residues_match_full_residues_when_closed():
     chain = dplus_chain(6)
-    assert combination_residues(chain) == frozenset(residues(chain))
+    assert combination_residues(chain) == residues(chain).words
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_chains(nmax=5))
+def test_combination_residues_are_the_packed_combinations(chain):
+    m = chain.modulus
+    assert combination_residues(chain) == frozenset(pack_point(m, p) for p in combination_residues_oracle(chain))
 
 
 def test_inconsistent_report_raises_on_verdict():

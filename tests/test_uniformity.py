@@ -115,6 +115,21 @@ def test_gu_two_level_dplus5():
     assert gu_check_two_level(dplus_chain(5)).uniform
 
 
+def test_reflection_checks_read_the_signs_off_the_residues(monkeypatch):
+    """The per-coset check takes T_x's signs from x mod 2 and runs no membership test on x."""
+    chains = [dplus_chain(5), random_l2_chain(random.Random(4101)), CodeChain.of(span([(1, 1, 0)]), span([(0, 1, 1)]))]
+    expected = [gu_two_level_oracle(chain) for chain in chains]
+
+    def refuse(*args):
+        raise AssertionError("membership test on a residue")
+
+    monkeypatch.setattr(uniformity, "decompose", refuse)
+    monkeypatch.setattr(uniformity, "contains", refuse)
+    for chain, want in zip(chains, expected):
+        residues.cache_clear()
+        assert gu_check_two_level(chain) == want
+
+
 def full_space_chain(n: int) -> CodeChain:
     """C1 = F2^n over C2 = {0}: no candidate fixes R, so H = {0} and every residue is its own coset."""
     return CodeChain.of(span([tuple(int(i == j) for i in range(n)) for j in range(n)]), span([], n=n))
