@@ -30,7 +30,7 @@ from functools import cached_property, lru_cache
 from itertools import compress, repeat
 from math import prod
 from operator import and_, mul, not_, rshift, sub
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Collection, Iterable, Iterator, Sequence, TypeVar
 
 from .f2 import BinaryCode, Record, Word, is_linear, is_nested
 
@@ -44,6 +44,7 @@ MAX_SIGN_PATTERNS = 1 << 20  # membership tests in cw_members
 MAX_PERIOD_WORK = 10**8  # residue lookups of the period group's fixes checks
 MAX_WITNESS_WORK = 10**8  # coset-representative pairs of the closure witness scan
 MAX_SPECTRUM_WORK = 10**8  # folded keys of the class scan; table entries of a spectrum
+COLUMN_STORE_ENTRIES = 1 << 18  # folded-column entries a residue set keeps for later centers: 2 MB of pointers
 
 
 def pack_residue(p: Sequence[int], modulus: int) -> int:
@@ -134,8 +135,9 @@ class ResidueSet:
     with ``_translates``, and membership (``in``, on a point) packs the point
     and looks it up in ``words``.  The only other stored form is the
     coordinate columns of the sorted words (``_columns``), unpacked on first
-    use for the folded keys; iterating the set zips them into points in
-    lexicographic order, one at a time, so no tuple of points is kept.
+    use for the folded keys (and those keys' folded columns, within a
+    budget); iterating the set zips the columns into points in lexicographic
+    order, one at a time, so no tuple of points is kept.
     """
 
     def __init__(self, n: int, modulus: int, words: frozenset[int], candidates: Sequence[Point] = ()):
@@ -194,8 +196,8 @@ class ResidueSet:
         return all(map(members.__contains__, self._translates(members, pack_residue(g, self.modulus))))
 
     @cached_property
-    def period_words(self) -> frozenset[int]:
-        """A subgroup H of the period group G = {t : R + t = R mod m}, as packed words.
+    def period_words(self) -> set[int]:
+        """A subgroup H of the period group G = {t : R + t = R mod m}, as one set of packed words.
 
         G is Forney's translation group of a geometrically uniform code.  H is
         the group generated by the ``candidates`` g that pass ``fixes(g)`` one
@@ -203,26 +205,26 @@ class ResidueSet:
         not fix R, because integer addition carries into the next level), and
         sums of translations that fix R fix R, so H lies in G; a set where no
         candidate passes gets H = {0}.  Each check looks up |R| residues, so
-        the checks are guarded as len(candidates) * |R| lookups.
+        the checks are guarded as len(candidates) * |R| lookups.  H is kept
+        once, as this set; callers only read it.
         """
         check_work("period_group", len(self.candidates) * len(self), MAX_PERIOD_WORK)
-        group, members = [0], {0}
+        members = {0}
         for g in self.candidates:
             word = pack_residue(g, self.modulus)
             if word in members or not self.fixes(g):
                 continue
-            block = group  # the cosets H + k*g are new until k*g falls in H
+            block = members  # the cosets H + k*g are new until k*g falls in H
             while True:
                 block = list(self._translates(block, word))
                 if block[0] in members:
                     break
-                group += block
                 members.update(block)
-        return frozenset(members)
+        return members
 
-    def _subgroup(self, even: bool) -> list[int]:
+    def _subgroup(self, even: bool) -> Collection[int]:
         """H = ``period_words``, or when ``even`` H ∩ 2Z^n: the periods whose lanes all have low bit 0."""
-        return [h for h in self.period_words if not (even and h & self._ones)]
+        return [h for h in self.period_words if not h & self._ones] if even else self.period_words
 
     def coset_count(self, even: bool = False) -> int:
         """|R/H| = |R| / |H|, or the same for H ∩ 2Z^n when ``even``, read before any walk.
@@ -302,24 +304,44 @@ class ResidueSet:
         return True
 
     @cached_property
-    def _fold(self) -> Callable[[int], int]:
-        # one table per residue set, holding no reference back to it, so the
-        # set still dies with the residues cache
-        return _FoldTable(self.modulus).__getitem__
+    def _folding(self) -> tuple[Callable[[int], int], list[dict], list[int], threading.Lock]:
+        # the fold table; per lane, center value -> folded column (False once
+        # asked); the column entries left and the lock that spends them.  No
+        # reference back to the set, so it still dies with the residues cache
+        return _FoldTable(self.modulus).__getitem__, [{} for _ in self._shifts], [COLUMN_STORE_ENTRIES], threading.Lock()
 
     def key_counts(self, c: Sequence[int]) -> KeyCounts:
         """The folded keys of every residue against the center c, with multiplicities.
 
         A residue s's key is the sorted distances of s - c to the nearest
-        multiple of m.  They are read one column at a time from a per-set
-        fold table, filled on demand with the differences seen, so nothing is
-        sized by the modulus 2^L.  c is reduced mod m once, so every
-        difference lies strictly between -m and m.
+        multiple of m, read a column at a time: lane j's folded column against
+        v = c_j mod m is fold(s_j - v) over the sorted residues, each
+        difference strictly between -m and m, from a fold table filled on
+        demand, so nothing is sized by the modulus 2^L.  The second ask of
+        (j, v) stores its column on the set for every later center, while the
+        stored entries fit in COLUMN_STORE_ENTRIES; a one-center call or the
+        scan of one coset asks each (j, v) once and stores none.
         """
         if len(c) != self.n:
             raise ValueError(f"center has length {len(c)}, expected {self.n}")
-        m, fold = self.modulus, self._fold
-        columns = [map(fold, map(sub, column, repeat(x % m))) for column, x in zip(self._columns, c)]
+        m, size = self.modulus, len(self)
+        fold, stores, room, lock = self._folding
+        columns = []
+        for column, x, store in zip(self._columns, c, stores):
+            v = x % m
+            stored = store.get(v)
+            if stored:
+                columns.append(stored)
+                continue
+            folded = map(fold, map(sub, column, repeat(v)))
+            if stored is None:
+                store[v] = False
+            elif room[0] >= size:
+                with lock:
+                    if room[0] >= size and not store[v]:
+                        room[0] -= size
+                        folded = store[v] = tuple(folded)
+            columns.append(folded)
         return frozenset(Counter(map(tuple, map(sorted, zip(*columns)))).items())
 
     def nearest_shell(self, keys: KeyCounts) -> Shell:

@@ -146,9 +146,9 @@ class BinaryCode(Record):
         if len(words) > MAX_CODE_SIZE:
             raise ValueError(f"code size {len(words)} exceeds the guard of {MAX_CODE_SIZE}")
         for w in words:
+            _check_word(w)
             if len(w) != n:
                 raise ValueError(f"word {w} does not have length {n}")
-            _check_word(w)
         self._store(n, words)
 
     @property
@@ -179,11 +179,17 @@ class BinaryCode(Record):
 
 
 def code_from_words(rows: Iterable[Iterable[int]]) -> BinaryCode:
-    """Build a code from explicit word rows (deduplicated)."""
-    ws = [word(r) for r in rows]
+    """Build a code from explicit word rows (deduplicated).
+
+    The rows are converted once and validated by ``BinaryCode``; only the
+    first row, whose length becomes n, is checked here, so that an empty or
+    overlong first row is reported as a bad word, not as a bad length.
+    """
+    ws = [tuple(map(int, r)) for r in rows]
     if not ws:
         raise ValueError("a code must contain at least one word")
-    return BinaryCode(n=len(ws[0]), words=frozenset(ws))
+    _check_word(ws[0])
+    return BinaryCode(n=len(ws[0]), words=ws)
 
 
 def span(generators: Iterable[Iterable[int]], n: int | None = None) -> BinaryCode:

@@ -25,12 +25,14 @@ The folded keys, the nearest shells and the class scan are methods of
 ``ResidueSet``.  The scan is lazy and memoized on its residue set, so it runs
 at most once per residue set, and each class's shell is computed once,
 whichever of ``eds_check`` (at any radius), ``kissing_stats`` or the isometry
-search asks first; the scan checks its own |R/H| * |R| guard.  This module
-keeps the per-table guard and builds the tables.
-``key_counts`` reads the folded coordinate distances one coordinate column at
-a time from a fold table on the residue set, filled on demand with the
-differences the keys meet.  It is never sized by the modulus 2^L, so the keys
-of a chain with many levels cost no more than those of a shallow one.
+search asks first; the scan checks its own |R/H| * |R| guard.  ``key_counts``
+reads the keys one folded coordinate column at a time, never sized by the
+modulus 2^L, and keeps a column asked for a second time (a later center with
+the same value in that coordinate) on the residue set, within
+COLUMN_STORE_ENTRIES entries per set.  This module keeps the per-table guard
+and builds the tables: a key's table is its sorted prefix's table convolved
+with the last digit's coset profile over nonzero (d2, count) pairs, so keys
+that share a prefix share its cached table.
 """
 
 from __future__ import annotations
@@ -182,21 +184,18 @@ def _coset_profile(m: int, u: int, r2max: int) -> tuple[tuple[int, int], ...]:
 
 @lru_cache(maxsize=None)
 def _key_table(m: int, key: tuple[int, ...], r2max: int) -> tuple[tuple[int, int], ...]:
-    """Squared-norm profile of the coset with folded digits ``key``: an n-fold convolution."""
-    acc = [0] * (r2max + 1)
-    acc[0] = 1
-    for u in key:
-        nxt = [0] * (r2max + 1)
-        support = _coset_profile(m, u, r2max)
-        for j, a in enumerate(acc):
-            if not a:
-                continue
-            for d2, cnt in support:
-                if j + d2 > r2max:
-                    break
-                nxt[j + d2] += a * cnt
-        acc = nxt
-    return tuple((d2, cnt) for d2, cnt in enumerate(acc) if cnt)
+    """Squared-norm profile of the coset with folded digits ``key``: ``key[:-1]``'s table convolved with ``key[-1]``'s."""
+    if not key:
+        return ((0, 1),)
+    acc: dict[int, int] = {}
+    profile = _coset_profile(m, key[-1], r2max)
+    for d2, cnt in _key_table(m, key[:-1], r2max):
+        for e2, c2 in profile:
+            s = d2 + e2
+            if s > r2max:
+                break
+            acc[s] = acc.get(s, 0) + cnt * c2
+    return tuple(sorted(acc.items()))
 
 
 def _check_table_work(rs: ResidueSet, r2max: int) -> None:
@@ -207,9 +206,9 @@ def _check_table_work(rs: ResidueSet, r2max: int) -> None:
 
 
 def _table_from_keys(m: int, keys: KeyCounts, r2max: int) -> dict[int, int]:
-    totals: Counter[int] = Counter()
+    totals: dict[int, int] = {}
     for key, mult in keys:
         for d2, cnt in _key_table(m, key, r2max):
-            totals[d2] += mult * cnt
+            totals[d2] = totals.get(d2, 0) + mult * cnt
     totals.pop(0, None)  # drop the center itself
     return dict(sorted(totals.items()))

@@ -18,7 +18,7 @@ from ccc.constellation import CodeChain, Point, ResidueSet, points_in_box, resid
 from ccc.f2 import BinaryCode, SpanTracker, Word, code_from_words, span, unpack
 from ccc.lattice import IntegerLattice, hnf, select_nested_basis
 from ccc.presets import example1, example3, example5
-from ccc.spectrum import EdsWitness, spectrum_at
+from ccc.spectrum import EdsWitness, _coset_profile, spectrum_at
 from ccc.uniformity import (
     GuCertificate,
     GuSearchResult,
@@ -327,6 +327,30 @@ def maps_onto_oracle(rs: ResidueSet, x: Sequence[int], perm: Sequence[int], sign
 def folded_key_oracle(m: int, s: Sequence[int], c: Sequence[int]) -> tuple[int, ...]:
     """Slow path of a residue's folded key in ResidueSet.key_counts: two reductions mod m and a min per coordinate."""
     return tuple(sorted(min((a - b) % m, (b - a) % m) for a, b in zip(s, c)))
+
+
+def stored_column_entries(rs: ResidueSet) -> int:
+    """The folded-column entries ResidueSet.key_counts has stored on rs: |R| per stored column."""
+    _, stores, _, _ = rs._folding
+    return sum(len(column) for store in stores for column in store.values() if column)
+
+
+def key_table_oracle(m: int, key: Sequence[int], r2max: int) -> tuple[tuple[int, int], ...]:
+    """Slow path of spectrum._key_table: the n-fold convolution over a dense (r2max + 1)-entry list."""
+    acc = [0] * (r2max + 1)
+    acc[0] = 1
+    for u in key:
+        nxt = [0] * (r2max + 1)
+        support = _coset_profile(m, u, r2max)
+        for j, a in enumerate(acc):
+            if not a:
+                continue
+            for d2, cnt in support:
+                if j + d2 > r2max:
+                    break
+                nxt[j + d2] += a * cnt
+        acc = nxt
+    return tuple((d2, cnt) for d2, cnt in enumerate(acc) if cnt)
 
 
 def class_scan_oracle(chain: CodeChain) -> list[Point]:

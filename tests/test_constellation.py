@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,7 @@ from conftest import (
     residues_oracle,
     sign_candidates,
     small_chains,
+    stored_column_entries,
     subgroup_closure,
 )
 
@@ -344,6 +346,24 @@ def test_key_counts_match_folded_key_oracle(chain, data):
         z = data.draw(st.lists(st.integers(-(1 << 40), 1 << 40), min_size=chain.n, max_size=chain.n), label=label)
         c = tuple(a + m * b for a, b in zip(r, z))
         assert rs.key_counts(c) == frozenset(Counter(folded_key_oracle(m, s, c) for s in rs).items())
+
+
+@pytest.mark.parametrize("budget", ["none", "one column", "default"])
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(small_chains(), deep_chains().filter(lambda chain: chain.residue_count() <= 64)), st.data())
+def test_key_counts_read_stored_columns_as_the_oracle(budget, chain, data):
+    # every residue as a center, in a shuffled order and then again: the
+    # second ask of a (lane, value) stores its folded column while the
+    # budget lasts, and every later center with that value reads it
+    entries = {"none": 0, "one column": chain.residue_count(), "default": constellation.COLUMN_STORE_ENTRIES}[budget]
+    with mock.patch.object(constellation, "COLUMN_STORE_ENTRIES", entries):
+        residues.cache_clear()
+        rs, m = residues(chain), chain.modulus
+        centers = data.draw(st.permutations(list(rs)), label="centers")
+        for c in centers + centers:
+            assert rs.key_counts(c) == frozenset(Counter(folded_key_oracle(m, s, c) for s in rs).items())
+        assert stored_column_entries(rs) <= entries
+    residues.cache_clear()
 
 
 def test_period_group_guard_counts_the_fixes_lookups(monkeypatch):

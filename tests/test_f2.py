@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -156,6 +157,26 @@ def test_is_nested_partial_order():
 def test_code_requires_equal_lengths():
     with pytest.raises(ValueError):
         code_from_words([(1, 0), (1, 0, 1)])
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(0, 1), (2, 0)], "word entries must be 0 or 1, got 2"),
+        ([(), (0, 1)], "words must have positive length"),
+        ([(0, 1), ()], "words must have positive length"),
+        ([(0,) * 25], "word length 25 exceeds the guard of 24"),
+        ([(0, 1), (0,) * 25], "word length 25 exceeds the guard of 24"),
+        ([(1, 0), (1, 0, 1)], "word (1, 0, 1) does not have length 2"),
+        ([], "a code must contain at least one word"),
+    ],
+    ids=["entry-2", "empty-first-row", "empty-later-row", "long-first-row", "long-later-row", "unequal", "no-rows"],
+)
+def test_code_from_words_error_messages(rows, message):
+    # the rows are validated once, by BinaryCode; each fault keeps the message
+    # it had when every row was also checked on its own first
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        code_from_words(rows)
 
 
 def test_schur_closed_chain_rejects_nonlinear():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ccc import spectrum as spectrum_mod
+from ccc import constellation, spectrum as spectrum_mod
 from ccc.constellation import CodeChain, ResidueSet, contains, residues
 from ccc.f2 import code_from_words, span
 from ccc.presets import dplus_chain, example5
@@ -20,6 +20,7 @@ from conftest import (
     brute_spectrum,
     class_scan_oracle,
     eds_oracle,
+    key_table_oracle,
     kissing_oracle,
     members,
     random_l2_chain,
@@ -27,6 +28,7 @@ from conftest import (
     random_nested_chain,
     sign_candidates,
     small_chains,
+    stored_column_entries,
 )
 
 
@@ -444,6 +446,70 @@ def test_class_scan_stops_at_the_second_class(monkeypatch):
     assert calls[0] <= 4 * 4096
 
 
+def key_digits(L: int):
+    """Sorted folded keys mod 2^L of up to five digits: small ones and the half period m/2."""
+    half = 1 << (L - 1)
+    digit = st.one_of(st.integers(0, min(half, 12)), st.just(half))
+    return st.lists(digit, max_size=5).map(sorted).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda L: st.tuples(st.just(L), key_digits(L), st.integers(1, 4000))))
+@example((12, (0, 1, 2048), 4000))  # m/2 = 2048 lies beyond r2max
+@example((3, (0, 4, 4), 40))  # two digits m/2, both inside r2max
+@example((2, (1, 2), 4))  # r2max below the first shell, 1 + 4
+@example((2, (), 1))  # the empty prefix: the point 0 alone
+def test_key_table_matches_the_dense_convolution(case):
+    L, key, r2max = case
+    assert spectrum_mod._key_table(1 << L, key, r2max) == key_table_oracle(1 << L, key, r2max)
+
+
+def test_key_tables_share_their_sorted_prefixes():
+    spectrum_mod._key_table.cache_clear()
+    spectrum_mod._key_table(8, (1, 2, 3), 64)
+    spectrum_mod._key_table(8, (1, 2, 4), 64)
+    # (), (1,), (1, 2) once each, then the two full keys
+    assert spectrum_mod._key_table.cache_info().currsize == 5
+
+
+def test_one_center_and_one_coset_store_no_column(monkeypatch):
+    # spectrum_at reads the keys of one center and never the period group;
+    # a lattice's class scan reads one center, so neither stores a column
+    reads = []
+    original = ResidueSet.period_words.func
+    monkeypatch.setattr(ResidueSet, "period_words", property(lambda self: reads.append(self) or original(self)))
+    residues.cache_clear()
+    for chain in (dplus_chain(8), trivial_period_chain()):
+        spectrum_at(chain, next(iter(residues(chain))), 16)
+        assert reads == []
+        assert stored_column_entries(residues(chain)) == 0
+    residues.cache_clear()
+    rs = residues(dplus_chain(8))
+    assert len(list(rs.spectrum_classes())) == 1
+    assert reads and all(r is rs for r in reads)
+    assert stored_column_entries(rs) == 0
+
+
+@pytest.mark.parametrize("columns", [0, 1, 3, None])
+def test_stored_columns_stay_within_the_budget(monkeypatch, columns):
+    # 48 residues, period group {0}: the scan asks 48 centers, n = 5 lanes each
+    chain = trivial_period_chain()
+    budget = constellation.COLUMN_STORE_ENTRIES if columns is None else 48 * columns + 47
+    monkeypatch.setattr(constellation, "COLUMN_STORE_ENTRIES", budget)
+    residues.cache_clear()
+    expected = kissing_stats(chain), _outcome(eds_check, chain, 64)
+    rs = residues(chain)
+    stored = stored_column_entries(rs)
+    if columns is None:
+        assert 0 < stored <= budget
+    else:
+        assert stored == 48 * columns
+    assert [keys for _, keys in rs.spectrum_classes()] == [rs.key_counts(c) for c in class_scan_oracle(chain)]
+    monkeypatch.setattr(constellation, "COLUMN_STORE_ENTRIES", 0)
+    residues.cache_clear()
+    assert (kissing_stats(chain), _outcome(eds_check, chain, 64)) == expected
+
+
 def test_residue_set_dies_with_the_cache(e3):
     refuted = e3  # the scan stops early and leaves residues unread
     scanned = dplus_chain(4)
@@ -478,6 +544,29 @@ def test_class_scan_shared_between_threads():
                 futures = [pool.submit(lambda: list(rs.spectrum_classes())) for _ in range(8)]
                 results = [f.result(timeout=60) for f in futures]
             assert results == [expected] * 8
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_column_store_shared_between_threads(monkeypatch):
+    # 8 threads ask every center's keys at once: each sees the keys a lone
+    # caller sees, and the columns stored stay within a three-column budget
+    chain = trivial_period_chain()
+    monkeypatch.setattr(constellation, "COLUMN_STORE_ENTRIES", 3 * 48 + 47)
+    residues.cache_clear()
+    centers = list(residues(chain))
+    expected = [residues(chain).key_counts(c) for c in centers]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            residues.cache_clear()
+            rs = residues(chain)
+            with ThreadPoolExecutor(8) as pool:
+                futures = [pool.submit(lambda: [rs.key_counts(c) for c in centers]) for _ in range(8)]
+                results = [f.result(timeout=60) for f in futures]
+            assert results == [expected] * 8
+            assert stored_column_entries(rs) <= 3 * 48
     finally:
         sys.setswitchinterval(interval)
 
