@@ -20,7 +20,7 @@ _EXPORTS = {
         "xor_add",
     ),
     "lattice": (
-        "EquivalenceReport", "IntegerLattice", "NestedBasis", "construction_d", "equivalence_report", "hnf",
+        "EquivalenceReport", "IntegerLattice", "NestedBasis", "construction_d", "equivalence_report",
         "is_lattice_direct", "select_nested_basis", "smallest_lattice",
     ),
     "presets": ("dplus_chain",),

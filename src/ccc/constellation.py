@@ -401,11 +401,6 @@ class ResidueSet:
             yield found[i]
             i += 1
 
-    def spectrum_classes(self) -> Iterator[tuple[Point, KeyCounts]]:
-        """The first residue of each spectrum class and its key multiset, in order: ``class_shells`` without the shells."""
-        for c, sig, _ in self.class_shells():
-            yield c, sig
-
 
 @lru_cache(maxsize=32)
 def residues(chain: CodeChain) -> ResidueSet:
@@ -460,15 +455,6 @@ def decompose(chain: CodeChain, p: Sequence[int]) -> tuple[tuple[Word, ...], Poi
     )
     z = tuple((x - y) // m for x, y in zip(p, r))
     return digits, z
-
-
-def recompose(chain: CodeChain, digits: Sequence[Word], z: Sequence[int]) -> Point:
-    """Inverse of decompose: digit words plus integer part back to a point."""
-    m = chain.modulus
-    return tuple(
-        sum(digits[level][j] << level for level in range(chain.L)) + m * z[j]
-        for j in range(chain.n)
-    )
 
 
 def points_in_box(chain: CodeChain, lo: Sequence[int], hi: Sequence[int]) -> list[Point]:

@@ -3,21 +3,21 @@
 Everything runs on arbitrary-precision integers: Hermite Normal Form gives a
 canonical basis, so lattice equality and membership are exact set questions.
 All lattices here contain m * Z^n, m = 2^L, which keeps every computation
-finite: each is the preimage in Z^n of a subgroup of (Z/m)^n.  The smallest
-lattice holding a constellation comes from an elimination mod 2^L on the
-packed residue words (``howell_rows``), which leaves at most n
-pivot rows, and the Construction-D criterion compares packed words: the
-scaled nested-basis combinations, summed lane-wise, against the residue
-words.  ``hnf``, a Euclidean elimination over Z, takes explicit generator
-lists, such as Construction D's scaled basis rows.
+finite: each is the preimage in Z^n of a subgroup of (Z/m)^n.  One
+elimination mod 2^L on packed words (``howell_rows``), which leaves at most
+n pivot rows, builds every lattice here from its generators: the residue
+words for the smallest lattice holding a constellation, the scaled
+nested-basis rows for Construction D.  The Construction-D criterion compares
+packed words: the scaled nested-basis combinations, summed lane-wise,
+against the residue words.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Sequence
 
-from .constellation import CodeChain, Point, ResidueSet, check_work, pack_residue, residues
+from .constellation import CodeChain, Point, check_work, pack_residue, residues
 from .f2 import Record, SpanTracker, Word, schur_closed_chain, unpack
 
 
@@ -71,47 +71,6 @@ class IntegerLattice(Record):
         return vol // self.determinant
 
 
-def hnf(generators: Iterable[Sequence[int]]) -> IntegerLattice:
-    """Canonical HNF basis of the integer span of the generators.
-
-    Column-by-column Euclidean elimination: within the active column the row
-    of least nonzero magnitude reduces the others until one survivor remains,
-    which becomes the pivot row.  The generators must span a full-rank
-    sublattice of Z^n.
-    """
-    rows = [list(map(int, g)) for g in generators]
-    if not rows:
-        raise ValueError("at least one generator is required")
-    n = len(rows[0])
-    for r in rows:
-        if len(r) != n:
-            raise ValueError("generators must share one length")
-    work = [r for r in rows if any(r)]
-    basis: list[list[int]] = []
-    for col in range(n):
-        while True:
-            nz = [r for r in work if r[col] != 0]
-            if len(nz) <= 1:
-                break
-            p = min(nz, key=lambda r: abs(r[col]))
-            for r in nz:
-                if r is p:
-                    continue
-                q = r[col] // p[col]
-                if q:
-                    for j in range(n):
-                        r[j] -= q * p[j]
-        pivot_idx = next((i for i, r in enumerate(work) if r[col] != 0), None)
-        if pivot_idx is None:
-            raise ValueError(f"generators are rank deficient (no pivot in column {col})")
-        pivot = work.pop(pivot_idx)
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        basis.append(pivot)
-        work = [r for r in work if any(r)]
-    return _reduced_above_pivots(basis)
-
-
 def _reduced_above_pivots(basis: list[list[int]]) -> IntegerLattice:
     """The lattice of an upper-triangular basis with positive diagonal, in Hermite Normal Form.
 
@@ -142,34 +101,37 @@ def _lane_sum(n: int, m: int) -> Callable[[int, int], int]:
     return lambda x, y: ((x & lo) + (y & lo)) ^ ((x ^ y) & hi)
 
 
-def howell_rows(rs: ResidueSet) -> list[Point | None]:
-    """An echelon basis, one row per lane, of the subgroup <R> the residues generate in (Z/m)^n.
+def howell_rows(n: int, m: int, words: Collection[int]) -> list[Point | None]:
+    """An echelon basis, one row per lane, of the subgroup <G> the words generate in (Z/m)^n.
 
-    Row j is None when lane j has no pivot: every element of <R> that is 0
-    in lanes 0..j-1 is 0 in lane j too.  Otherwise it is such an element
-    whose lane j reads 2^b, b the least 2-adic valuation any of them has
-    there, as a point with coordinates in [0, m).
+    The words are packed as ``residues`` packs its words (coordinate j mod m
+    in lane j), and may be any generators: residue words, scaled basis rows,
+    zeros and duplicates alike.  Row j is None when lane j has no pivot:
+    every element of <G> that is 0 in lanes 0..j-1 is 0 in lane j too.
+    Otherwise it is such an element whose lane j reads 2^b, b the least
+    2-adic valuation any of them has there, as a point with coordinates in
+    [0, m).
 
-    This is elimination mod m = 2^L on the packed residue words (Howell,
-    Lin. Multilin. Algebra 1986; Storjohann & Mulders, ESA 1998), with every
-    residue a generator.  At lane j:
+    This is elimination mod m = 2^L on the packed words (Howell, Lin.
+    Multilin. Algebra 1986; Storjohann & Mulders, ESA 1998), with every word
+    a generator.  At lane j:
 
     * the pivot is a row whose lane j has the least valuation b, multiplied
       by the inverse of its odd unit so that the lane reads 2^b;
     * every other row w loses (w_j / 2^b) times the pivot, so that its lane
       j reads 0;
     * 2^(L-b) times the pivot, whose lane j vanishes, joins the rows (the
-      Howell closure), so that the rows left span every element of <R> that
+      Howell closure), so that the rows left span every element of <G> that
       is 0 in lanes 0..j, the later lanes never needing the pivot;
-    * zeros and duplicates are dropped, so no lane has more than |R| rows.
+    * zeros and duplicates are dropped, so no lane has more rows than there
+      are words.
 
     Scalar multiples are taken by double-and-add with the lane-wise sum,
     O(L) sums each, and kept per multiplier met in a lane, so nothing is
-    sized by 2^L.  Only ``rs.words`` is read, never the period subgroup or
-    the codes.  The |R| * n row operations are guarded before the first one.
+    sized by 2^L.  The len(words) * n row operations are guarded before the
+    first one.
     """
-    n, m = rs.n, rs.modulus
-    check_work("howell_rows", len(rs) * n, MAX_ELIMINATION_WORK)
+    check_work("howell_rows", len(words) * n, MAX_ELIMINATION_WORK)
     L, mask = m.bit_length() - 1, m - 1
     add = _lane_sum(n, m)
 
@@ -182,7 +144,7 @@ def howell_rows(rs: ResidueSet) -> list[Point | None]:
         return acc
 
     shifts = [L * (n - 1 - j) for j in range(n)]  # lane j's bit offset
-    rows, pivots = rs.words - {0}, []
+    rows, pivots = frozenset(words) - {0}, []
     for shift in shifts:
         pivot, low = 0, m  # low: 2^b, the least power of two dividing a lane-j entry
         for w in rows:
@@ -210,22 +172,29 @@ def howell_rows(rs: ResidueSet) -> list[Point | None]:
     return [None if p is None else tuple(p >> s & mask for s in shifts) for p in pivots]
 
 
+def _generated_lattice(n: int, m: int, words: Collection[int]) -> IntegerLattice:
+    """The lattice the packed words and the period translates m * e_j generate, m = 2^L, in Hermite Normal Form.
+
+    It is the preimage in Z^n of the subgroup <G> the words generate in
+    (Z/m)^n.  ``howell_rows`` leaves one row per lane j: its pivot row, or
+    m * e_j where lane j has no pivot.  The n rows are upper triangular and
+    lie in the lattice, and their diagonal product is its index
+    m^n / |<G>|, so they are a basis; reducing the entries above each pivot
+    gives the Hermite Normal Form.
+    """
+    rows = howell_rows(n, m, words)
+    return _reduced_above_pivots(
+        [[m if k == j else 0 for k in range(n)] if row is None else list(row) for j, row in enumerate(rows)]
+    )
+
+
 def smallest_lattice(chain: CodeChain) -> IntegerLattice:
     """The smallest lattice containing the constellation.
 
     It is generated by the residues together with the period translates
-    m * e_j, m = 2^L, so it is the preimage in Z^n of the subgroup <R> the
-    residues generate in (Z/m)^n.  ``howell_rows`` eliminates mod m on the
-    packed words, every residue a generator, and leaves one row per lane j:
-    its pivot row, or m * e_j where lane j has no pivot.  The n rows
-    are upper triangular and lie in the lattice, and their diagonal product
-    is its index m^n / |<R>|, so they are a basis; reducing the entries
-    above each pivot gives the Hermite Normal Form, without passing the rows
-    through ``hnf``.
+    m * e_j, m = 2^L: every residue word is a generator of the elimination.
     """
-    unit = _unit_scaled(chain.n, chain.modulus)
-    rows = howell_rows(residues(chain))
-    return _reduced_above_pivots([list(unit[j] if row is None else row) for j, row in enumerate(rows)])
+    return _generated_lattice(chain.n, chain.modulus, residues(chain).words)
 
 
 class NestedBasis(NamedTuple):
@@ -299,15 +268,16 @@ def construction_d(chain: CodeChain) -> IntegerLattice:
     """The lattice generated by the scaled nested-basis combinations.
 
     Every combination is a sum of scaled rows, so the scaled rows and the
-    period translates generate it.  The point count per period must come out
-    as 2^(k_1+...+k_L), the residue count |C_1|...|C_L|; anything else would
-    mean the combination set is not itself a lattice, which the nested linear
-    hypothesis rules out.
+    period translates generate it: the k_1+...+k_L rows, packed, are the
+    generators of the elimination ``smallest_lattice`` runs.  The point count
+    per period must come out as 2^(k_1+...+k_L), the residue count
+    |C_1|...|C_L|; anything else would mean the combination set is not
+    itself a lattice, which the nested linear hypothesis rules out.
     """
     nb = select_nested_basis(chain)
     m = chain.modulus
-    scaled = [tuple(b << level for b in row) for level, k in enumerate(nb.dims) for row in nb.rows[:k]]
-    lat = hnf([*scaled, *_unit_scaled(chain.n, m)])
+    scaled = [pack_residue(row, m) << level for level, k in enumerate(nb.dims) for row in nb.rows[:k]]
+    lat = _generated_lattice(chain.n, m, scaled)
     if lat.points_per_period(m) != chain.residue_count():
         raise RuntimeError("combination lattice has the wrong point count per period")
     return lat
@@ -408,7 +378,3 @@ def _require_nested_linear(chain: CodeChain) -> None:
         raise ValueError("this operation requires every code in the chain to be linear")
     if not chain.all_nested():
         raise ValueError("this operation requires the chain to be nested")
-
-
-def _unit_scaled(n: int, m: int) -> list[Point]:
-    return [tuple(m if j == i else 0 for j in range(n)) for i in range(n)]

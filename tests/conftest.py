@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from ccc.constellation import CodeChain, Point, ResidueSet, points_in_box, residues
 from ccc.f2 import BinaryCode, SpanTracker, Word, code_from_words, span, unpack
-from ccc.lattice import IntegerLattice, hnf, select_nested_basis
+from ccc.lattice import IntegerLattice, select_nested_basis
 from ccc.presets import example1, example3, example5
 from ccc.spectrum import EdsWitness, _coset_profile, spectrum_at
 from ccc.uniformity import (
@@ -230,11 +230,63 @@ def residues_oracle(chain: CodeChain) -> frozenset[Point]:
     )
 
 
+def euclidean_hnf(generators: Iterable[Sequence[int]]) -> IntegerLattice:
+    """Canonical HNF basis of the integer span of the generators, by Euclidean elimination over Z.
+
+    Column by column, the row of least nonzero magnitude in the active column
+    reduces the others until one survivor remains, which becomes the pivot
+    row; then the entries above each pivot are reduced into [0, pivot).  The
+    generators must span a full-rank sublattice of Z^n.  This shares nothing
+    with the elimination mod 2^L the library runs, so it is the oracle for
+    every lattice the library builds.
+    """
+    rows = [list(map(int, g)) for g in generators]
+    if not rows:
+        raise ValueError("at least one generator is required")
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise ValueError("generators must share one length")
+    work = [r for r in rows if any(r)]
+    basis: list[list[int]] = []
+    for col in range(n):
+        while True:
+            nz = [r for r in work if r[col] != 0]
+            if len(nz) <= 1:
+                break
+            p = min(nz, key=lambda r: abs(r[col]))
+            for r in nz:
+                if r is not p:
+                    q = r[col] // p[col]
+                    for j in range(n):
+                        r[j] -= q * p[j]
+        pivot = next((r for r in work if r[col] != 0), None)
+        if pivot is None:
+            raise ValueError(f"generators are rank deficient (no pivot in column {col})")
+        work.remove(pivot)
+        basis.append(pivot if pivot[col] > 0 else [-x for x in pivot])
+        work = [r for r in work if any(r)]
+    for i in range(n):
+        for j in range(i):
+            q = basis[j][i] // basis[i][i]
+            basis[j] = [a - q * b for a, b in zip(basis[j], basis[i])]
+    return IntegerLattice(n=n, basis=basis, determinant=math.prod(basis[i][i] for i in range(n)))
+
+
+def period_translates(n: int, m: int) -> list[Point]:
+    """The period translates m * e_j, j < n."""
+    return [tuple(m if k == j else 0 for k in range(n)) for j in range(n)]
+
+
 def smallest_lattice_oracle(chain: CodeChain) -> IntegerLattice:
     """Slow path of smallest_lattice: the Euclidean HNF over every residue and the period translates m * e_j."""
-    m, n = chain.modulus, chain.n
-    units = [tuple(m if k == j else 0 for k in range(n)) for j in range(n)]
-    return hnf([*sorted(residues_oracle(chain)), *units])
+    return euclidean_hnf([*sorted(residues_oracle(chain)), *period_translates(chain.n, chain.modulus)])
+
+
+def construction_d_oracle(chain: CodeChain) -> IntegerLattice:
+    """Slow path of construction_d: the Euclidean HNF over the scaled nested-basis rows and the period translates."""
+    nb = select_nested_basis(chain)
+    scaled = [tuple(b << level for b in row) for level, k in enumerate(nb.dims) for row in nb.rows[:k]]
+    return euclidean_hnf([*scaled, *period_translates(chain.n, chain.modulus)])
 
 
 def combination_residues_oracle(chain: CodeChain) -> frozenset[Point]:

@@ -72,7 +72,7 @@ def test_spectrum_e8_theta_series(capsys):
 
 def test_eds_e8_one_class(capsys):
     chain = parse_chain((CHAINS / "e8.chain").read_text())
-    assert len(list(ccc.residues(chain).spectrum_classes())) == 1  # a lattice: its residues form one class
+    assert len(list(ccc.residues(chain).class_shells())) == 1  # a lattice: its residues form one class
     code, report = run_json(capsys, "eds", str(CHAINS / "e8.chain"))
     assert code == 0
     assert report["results"] == {"eds": True, "r2max": 16, "witness": None}

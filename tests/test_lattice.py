@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ccc import constellation, lattice
 from ccc.constellation import CodeChain, ResidueSet, residues
@@ -10,7 +11,6 @@ from ccc.lattice import (
     combination_residues,
     construction_d,
     equivalence_report,
-    hnf,
     howell_rows,
     is_lattice_direct,
     select_nested_basis,
@@ -22,11 +22,14 @@ from conftest import (
     all_subspaces,
     closure_oracle,
     combination_residues_oracle,
+    construction_d_oracle,
     deep_chains,
+    euclidean_hnf,
     first_failing_pair,
     nested_basis_by_word_scan,
     nested_chains,
     pack_point,
+    period_translates,
     random_nested_chain,
     small_chains,
     smallest_lattice_oracle,
@@ -35,26 +38,26 @@ from conftest import (
 
 
 def test_hnf_examples():
-    lat = hnf([(1, 1), (4, 0), (0, 4)])
+    lat = euclidean_hnf([(1, 1), (4, 0), (0, 4)])
     assert lat.basis == ((1, 1), (0, 4))
     assert lat.determinant == 4
 
-    diag = hnf([(8, 0, 0), (0, 8, 0), (0, 0, 8)])
+    diag = euclidean_hnf([(8, 0, 0), (0, 8, 0), (0, 0, 8)])
     assert diag.basis == ((8, 0, 0), (0, 8, 0), (0, 0, 8))
     assert diag.determinant == 512
 
-    assert hnf([(1, 0), (0, 1)]).determinant == 1
+    assert euclidean_hnf([(1, 0), (0, 1)]).determinant == 1
 
 
 def test_hnf_rank_deficient():
     with pytest.raises(ValueError):
-        hnf([(1, 2, 3), (2, 4, 6)])
+        euclidean_hnf([(1, 2, 3), (2, 4, 6)])
 
 
 def test_hnf_canonical_under_generator_changes():
     rng = random.Random(3001)
     base = [(2, 1, 0), (0, 3, 1), (0, 0, 4)]
-    reference = hnf(base)
+    reference = euclidean_hnf(base)
     for _ in range(25):
         gens = [list(g) for g in base]
         # augment with random integer combinations and shuffle
@@ -63,11 +66,11 @@ def test_hnf_canonical_under_generator_changes():
             r = rng.randint(-3, 3)
             gens.append([x + r * y for x, y in zip(gens[a], gens[b])])
         rng.shuffle(gens)
-        assert hnf(gens) == reference
+        assert euclidean_hnf(gens) == reference
 
 
 def test_hnf_membership():
-    lat = hnf([(1, 1), (4, 0), (0, 4)])
+    lat = euclidean_hnf([(1, 1), (4, 0), (0, 4)])
     assert lat.contains((1, 1))
     assert lat.contains((2, 2))
     assert lat.contains((-3, 1))
@@ -117,8 +120,36 @@ def test_smallest_lattice_howell_closure_and_odd_unit():
     assert smallest_lattice(HOWELL_CLOSURE).basis == ((2, 1), (0, 2))
     # the pivot (3, 1) is multiplied by 3^-1 = 11 mod 16, so lane 0 reads 1
     assert smallest_lattice(ODD_UNIT).basis == ((1, 11), (0, 16))
-    assert howell_rows(residues(HOWELL_CLOSURE)) == [(2, 1), (0, 2)]
-    assert howell_rows(residues(ODD_UNIT)) == [(1, 11), None]
+    for chain, rows in ((HOWELL_CLOSURE, [(2, 1), (0, 2)]), (ODD_UNIT, [(1, 11), None])):
+        assert howell_rows(chain.n, chain.modulus, residues(chain).words) == rows
+
+
+@st.composite
+def packed_generators(draw, nmax: int = 4, lmax: int = 5) -> tuple[int, int, list[int]]:
+    """n, m = 2^L and a list of packed words that need not be a residue set: zeros and duplicates included."""
+    n, L = draw(st.integers(1, nmax)), draw(st.integers(1, lmax))
+    words = draw(st.lists(st.integers(0, (1 << (L * n)) - 1) | st.just(0), max_size=8))
+    repeats = draw(st.lists(st.sampled_from(words), max_size=3)) if words else []
+    return n, 1 << L, draw(st.permutations(words + repeats))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_generators())
+@example((2, 4, [9]))  # (2, 1) mod 4: the Howell closure row (0, 2)
+@example((2, 16, [0, 0]))  # no pivot in any lane
+def test_howell_rows_on_any_generator_words_give_the_oracle_lattice(case):
+    n, m, words = case
+    L = m.bit_length() - 1
+    points = [tuple(w >> (L * (n - 1 - j)) & (m - 1) for j in range(n)) for w in words]
+    rows = howell_rows(n, m, words)
+    assert len(rows) == n
+    for j, row in enumerate(rows):
+        if row is not None:  # echelon: 0 before lane j, a power of two below m in lane j
+            assert not any(row[:j]) and 0 < row[j] < m and row[j] & (row[j] - 1) == 0
+    unit = period_translates(n, m)
+    expected = euclidean_hnf([*points, *unit])
+    assert euclidean_hnf([unit[j] if row is None else row for j, row in enumerate(rows)]) == expected
+    assert lattice._generated_lattice(n, m, words) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -159,7 +190,8 @@ def test_elimination_guard_refuses_before_the_first_row_operation(monkeypatch):
 
     monkeypatch.setattr(lattice, "_lane_sum", counting_sum)
     monkeypatch.setattr(lattice, "MAX_ELIMINATION_WORK", 159)
-    for run in (lambda: howell_rows(residues(chain)), lambda: smallest_lattice(chain)):
+    rs = residues(chain)
+    for run in (lambda: howell_rows(rs.n, rs.modulus, rs.words), lambda: smallest_lattice(chain)):
         with pytest.raises(ValueError, match=r"^howell_rows: work 160 exceeds the guard of 159$"):
             run()
     assert adds == [0]
@@ -225,6 +257,18 @@ def test_construction_d_determinant_identity():
         k_total = sum(select_nested_basis(chain).dims)
         lat = construction_d(chain)
         assert lat.determinant << k_total == chain.modulus ** chain.n
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_chains())
+def test_construction_d_matches_the_euclidean_oracle(chain):
+    assert construction_d(chain) == construction_d_oracle(chain)
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested_chains(nmax=3, lmax=8))
+def test_construction_d_matches_the_euclidean_oracle_deep(chain):
+    assert construction_d(chain) == construction_d_oracle(chain)
 
 
 def test_is_lattice_direct_example1(e1):

@@ -241,7 +241,7 @@ def test_class_scan_checks_its_own_guard(monkeypatch):
     centers = []
     monkeypatch.setattr(ResidueSet, "key_counts", lambda self, c: centers.append(c) or frozenset())
     with pytest.raises(ValueError, match=r"^spectrum class scan: work 268402689 exceeds the guard of 100000000$"):
-        list(rs.spectrum_classes())
+        list(rs.class_shells())
     assert centers == []
 
 
@@ -371,7 +371,7 @@ def test_nearest_shell_computed_once_per_class(monkeypatch):
         wide = _outcome(eds_check, chain, 4 * m2)
         kissing_stats(chain)
         assert _outcome(eds_check, chain, m2) == first and _outcome(eds_check, chain, 4 * m2) == wide
-        assert calls == [keys for _, keys in residues(chain).spectrum_classes()]
+        assert calls == [keys for _, keys, _ in residues(chain).class_shells()]
 
 
 @pytest.mark.parametrize(
@@ -401,7 +401,7 @@ def test_class_scan_reads_one_center_per_coset(monkeypatch, chain, cosets, keys)
     assert calls[0] == keys
     residues.cache_clear()
     calls[0] = 0
-    list(residues(chain).spectrum_classes())
+    list(residues(chain).class_shells())
     assert calls[0] == keys
 
 
@@ -424,8 +424,8 @@ def test_class_scan_matches_every_residue_scan(chain, data):
     r2max = data.draw(st.integers(1, 2 * m2), label="r2max")
     fresh = [spectrum_at(chain, c, m2).counts for c in reps]  # before any scan
     rs = residues(chain)
-    assert [c for c, _ in rs.spectrum_classes()] == reps
-    assert [keys for _, keys in rs.spectrum_classes()] == [rs.key_counts(c) for c in reps]
+    assert [c for c, _, _ in rs.class_shells()] == reps
+    assert [keys for _, keys, _ in rs.class_shells()] == [rs.key_counts(c) for c in reps]
     assert [spectrum_at(chain, c, m2).counts for c in reps] == fresh  # after the scan
     eds, kissing = _outcome(eds_oracle, chain, r2max), kissing_oracle(chain)
     for first_eds in (True, False):
@@ -485,7 +485,7 @@ def test_one_center_and_one_coset_store_no_column(monkeypatch):
         assert stored_column_entries(residues(chain)) == 0
     residues.cache_clear()
     rs = residues(dplus_chain(8))
-    assert len(list(rs.spectrum_classes())) == 1
+    assert len(list(rs.class_shells())) == 1
     assert reads and all(r is rs for r in reads)
     assert stored_column_entries(rs) == 0
 
@@ -504,7 +504,7 @@ def test_stored_columns_stay_within_the_budget(monkeypatch, columns):
         assert 0 < stored <= budget
     else:
         assert stored == 48 * columns
-    assert [keys for _, keys in rs.spectrum_classes()] == [rs.key_counts(c) for c in class_scan_oracle(chain)]
+    assert [keys for _, keys, _ in rs.class_shells()] == [rs.key_counts(c) for c in class_scan_oracle(chain)]
     monkeypatch.setattr(constellation, "COLUMN_STORE_ENTRIES", 0)
     residues.cache_clear()
     assert (kissing_stats(chain), _outcome(eds_check, chain, 64)) == expected
@@ -532,7 +532,7 @@ def test_class_scan_shared_between_threads():
     words = [[tuple(rng.randint(0, 1) for _ in range(5)) for _ in range(k)] for k in (6, 5, 4)]
     chain = CodeChain(codes=tuple(code_from_words(w) for w in words))
     residues.cache_clear()
-    expected = list(residues(chain).spectrum_classes())
+    expected = [(c, keys) for c, keys, _ in residues(chain).class_shells()]
     assert len(expected) > 8
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -541,7 +541,7 @@ def test_class_scan_shared_between_threads():
             residues.cache_clear()
             rs = residues(chain)
             with ThreadPoolExecutor(8) as pool:
-                futures = [pool.submit(lambda: list(rs.spectrum_classes())) for _ in range(8)]
+                futures = [pool.submit(lambda: [(c, keys) for c, keys, _ in rs.class_shells()]) for _ in range(8)]
                 results = [f.result(timeout=60) for f in futures]
             assert results == [expected] * 8
     finally:
