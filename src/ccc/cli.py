@@ -4,12 +4,23 @@ Exit status: 0 when the command succeeds (and any checked property holds),
 1 when a checked property is refuted (non-lattice, unequal spectra, missing
 partner), 2 on input errors.  JSON reports contain no timing information, so
 identical inputs and seeds produce byte-identical output.
+
+``run()`` is the process entry: the ``ccc`` console script and ``python -m
+ccc.cli`` both call it.  It runs ``main()`` on the process's own arguments
+and, once the report is written and flushed, calls ``gc.freeze()``.  Every
+object the loaded modules made then sits in the collector's permanent
+generation, so the exit-time collections skip it and the operating system
+reclaims the memory at once; atexit handlers, the flushing of stdout and
+stderr, and module teardown all still run.  ``main(argv)`` has no such side
+effect, so tests and library callers may call it many times in one process.
+Anything a command writes besides stdout and stderr (a trace file, say) must
+be closed before ``main`` returns.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import sys
 import time
@@ -24,6 +35,13 @@ from .constellation import CodeChain, residues
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INPUT = 2
+
+
+def run() -> int:
+    """The process entry: ``main()`` on the process's arguments, then ``gc.freeze()``."""
+    code = main()
+    gc.freeze()
+    return code
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -179,6 +197,8 @@ def _threads(args: argparse.Namespace) -> int:
 
 def _render(args: argparse.Namespace, report: dict, human: list[str], runtime: float) -> str:
     if args.fmt == "json":
+        import json
+
         lines = [json.dumps(report, sort_keys=True, indent=2)]
     elif args.fmt == "tsv":
         lines = [f"{d2}\t{count}" for d2, count in report["results"]["counts"]]
@@ -428,4 +448,4 @@ _HANDLERS = {
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

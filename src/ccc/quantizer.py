@@ -7,9 +7,11 @@ soft-decision decoding of the top code CL: each coordinate has a cost for an
 even and for an odd top digit, and the codeword with the least total cost
 wins.  It is found by Wagner's rule when CL is the even-weight code (the D_n
 decoder of Conway & Sloane, IEEE IT-28, 1982), and otherwise by scoring
-every codeword in blocks of fixed size.  The scalar nearest() is the
-reference: it lifts every residue to its best translate, which also settles
-exact ties by the lexicographic order of the points.
+every codeword in blocks of fixed size.  A top code of one word (CL = {0},
+as in a cube or example1) makes that word every coset's winner, so nothing
+is scored.  The scalar nearest() is the reference: it lifts every residue to
+its best translate, which also settles exact ties by the lexicographic order
+of the points.
 
 The samples are random() * 2^L, so they are multiples of 2^(L-53) in
 [0, 2^L), and every difference the decoder takes is exact in float64.  The
@@ -128,6 +130,8 @@ class _CosetDecoder(NamedTuple):
         """Per row of delta, the index of the first top codeword x with the least delta @ x."""
         import numpy as np
 
+        if len(self.top) == 1:  # one word wins every row; nothing to score
+            return np.zeros(len(delta), dtype=np.intp)
         # score the codewords in blocks of about BLOCK_BYTES
         rows = max(1, BLOCK_BYTES // (8 * (len(delta) + self.top.shape[1])))
         arg = best = None

@@ -1,14 +1,18 @@
 """Cold start: ``import ccc`` loads no submodule, each command loads only the
 modules it runs, only nsm loads numpy, and no command loads
 ``concurrent.futures`` or ``dataclasses`` (or, short of numpy, ``inspect``).
+Only ``--format json`` loads ``json``.  The process entry freezes the
+collector at exit, and ``ccc.cli.main`` does not.
 
 conftest.py imports numpy and most of ``ccc``, so the checks run in fresh
 interpreters.
 """
 
+import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +20,10 @@ from pathlib import Path
 import pytest
 
 import ccc
+import ccc.cli
 
 SRC = str(Path(ccc.__file__).resolve().parent.parent)
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 EXACT_COMMANDS = [
     ["presets"],
@@ -74,14 +80,18 @@ NSM_REPORT = """{
 """
 
 
-def fresh_python(script: str, *args) -> dict:
-    """What ``script`` prints as JSON, run with JSON ``args`` in a new interpreter."""
+def fresh_process(script: str, *args: str) -> subprocess.CompletedProcess:
+    """``script`` run with ``args`` in a new interpreter that imports ``ccc`` from this checkout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     env.pop("CCC_THREADS", None)
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *map(json.dumps, args)],
-        env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def fresh_python(script: str, *args) -> dict:
+    """What ``script`` prints as JSON, run with JSON ``args`` in a new interpreter."""
+    proc = fresh_process(script, *map(json.dumps, args))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -134,6 +144,57 @@ def test_each_command_loads_only_its_modules(argv, code, absent):
     out = fresh_python(LOADED, argv)
     assert out["code"] == code
     assert sorted({f"ccc.{m}" for m in absent} & set(out["modules"])) == []
+
+
+# main() in process, in a script that itself loads no json: its exit code, the
+# collector's freeze count after it, and whether json was loaded
+IN_PROCESS = """
+import contextlib, gc, io, sys
+import ccc.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = ccc.cli.main(sys.argv[1:])
+print(code, gc.get_freeze_count(), "json" in sys.modules)
+"""
+JSON_LOADED = [
+    (["presets"], "0 0 False"),
+    (["eds", "--preset", "dplus5"], "0 0 False"),
+    (["eds", "--preset", "dplus5", "--format", "json"], "0 0 True"),
+]
+
+
+@pytest.mark.parametrize("argv, line", JSON_LOADED, ids=[" ".join(argv[::2]) for argv, _ in JSON_LOADED])
+def test_only_json_reports_load_json_and_main_freezes_nothing(argv, line):
+    proc = fresh_process(IN_PROCESS, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == line + "\n"
+
+
+# The __main__ block as ``python -m ccc.cli`` runs it, with an atexit probe
+# registered first, so that it runs after the entry has returned.
+MAIN_BLOCK = """
+import atexit, gc, runpy, sys
+atexit.register(lambda: sys.stderr.write(f"frozen at exit: {gc.get_freeze_count() > 0}\\n"))
+sys.argv[0] = "ccc"
+runpy.run_module("ccc.cli", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["presets"], 0), (["lattice", "--preset", "dplus5", "--format", "json"], 1)], ids=["presets", "lattice"]
+)
+def test_the_main_block_freezes_the_heap_after_writing_the_report(capsys, argv, code):
+    assert ccc.cli.main(argv) == code
+    report = capsys.readouterr().out
+    proc = fresh_process(MAIN_BLOCK, *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, report, "frozen at exit: True\n")
+
+
+def test_the_console_script_calls_what_the_main_block_calls():
+    target = re.search(r'^ccc = "ccc\.cli:(\w+)"$', PYPROJECT.read_text(), re.MULTILINE).group(1)
+    tree = ast.parse(Path(ccc.cli.__file__).read_text(encoding="utf-8"))
+    blocks = [node for node in tree.body if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for block in blocks for stmt in block.body] == [f"sys.exit({target}())"]
+    assert target != "main"  # main(argv) stays free of process-wide side effects
 
 
 def test_cli_loads_the_modules_the_benchmark_cache_meter_reads():
