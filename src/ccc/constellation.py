@@ -8,17 +8,13 @@ which is periodic with period 2^L in every coordinate.  All global questions
 about the constellation reduce to exact integer arithmetic on its finite
 residue set, so nothing here uses floating point.
 
-A residue is packed into one Python int with L bits per coordinate:
-coordinate j of n sits in the lane at bit offset L * (n - 1 - j), so integer
-order is the lexicographic order of the points.  With ``hi`` the top bit of
-every lane and ``lo`` the other bits, the lane-wise sum mod 2^L is
-
-    ((x & lo) + (y & lo)) ^ ((x ^ y) & hi)
-
-since the low bits of a lane add without a carry out of the lane; for L = 1,
-lo = 0 and the sum is XOR.  Sums and membership tests run on the packed
-words; signed permutations read coordinates and pack their images, and
-folded keys read coordinates.
+A residue is packed into one Python int with L bits per coordinate.
+``Lanes`` owns that format and the arithmetic mod 2^L on it: packing and
+unpacking points, lane-wise sums and scalar multiples, and the elimination
+mod 2^L (``howell_rows``) from which the lattice algebra builds every
+lattice.  A ``ResidueSet`` is a ``Lanes`` that holds its residue words: sums
+and membership tests run on the packed words; signed permutations read
+coordinates and pack their images, and folded keys read coordinates.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ import threading
 from collections import Counter
 from functools import cached_property, lru_cache
 from itertools import compress, repeat
-from math import prod
+from math import comb, prod
 from operator import and_, mul, not_, rshift, sub
 from typing import Callable, Collection, Iterable, Iterator, Sequence, TypeVar
 
@@ -44,15 +40,9 @@ MAX_SIGN_PATTERNS = 1 << 20  # membership tests in cw_members
 MAX_PERIOD_WORK = 10**8  # residue lookups of the period group's fixes checks
 MAX_WITNESS_WORK = 10**8  # coset-representative pairs of the closure witness scan
 MAX_SPECTRUM_WORK = 10**8  # folded keys of the class scan; table entries of a spectrum
+MAX_CLASS_KEYS = 4 * 10**6  # distinct folded keys the class scan keeps, about 260 B each
+MAX_ELIMINATION_WORK = 10**8  # row operations of the elimination mod 2^L: rows times lanes
 COLUMN_STORE_ENTRIES = 1 << 18  # folded-column entries a residue set keeps for later centers: 2 MB of pointers
-
-
-def pack_residue(p: Sequence[int], modulus: int) -> int:
-    """The point p mod 2^L as one word: coordinate j in the L-bit lane at offset L * (n - 1 - j)."""
-    L, word = modulus.bit_length() - 1, 0
-    for x in p:
-        word = (word << L) | (x & (modulus - 1))
-    return word
 
 
 def check_work(routine: str, work: int, guard: int) -> None:
@@ -119,48 +109,52 @@ class CodeChain(Record):
         return all(is_nested(a, b) for a, b in zip(self.codes, self.codes[1:]))
 
 
-class ResidueSet:
-    """The finite image of a constellation modulo its period.
+class Lanes:
+    """Points of (Z/m)^n, m = 2^L, as packed words, and the arithmetic mod m on them.
 
-    The arithmetic mod the period that the lattice, symmetry and spectrum
-    questions run on residues lives here: sums (``fixes``, the closure
-    witness), signed permutations (symmetry) and folded differences
-    (spectrum classes).  Those questions are asked point by point, and
-    ``per_coset`` asks each one once per coset of the verified period
-    subgroup ``period_words``, whose generators ``fixes`` checks.
-
-    Each residue is one packed word (``words``): coordinate j of n, reduced
-    mod m = 2^L, sits in the L-bit lane at bit offset L * (n - 1 - j), so
-    word order is the lexicographic order of the points.  Sums add lane-wise
-    with ``_translates``, and membership (``in``, on a point) packs the point
-    and looks it up in ``words``.  The only other stored form is the
-    coordinate columns of the sorted words (``_columns``), unpacked on first
-    use for the folded keys (and those keys' folded columns, within a
-    budget); iterating the set zips the columns into points in lexicographic
-    order, one at a time, so no tuple of points is kept.
+    Coordinate j of n, reduced mod m, sits in the L-bit lane at bit offset
+    L * (n - 1 - j), so word order is the lexicographic order of the points.
+    With ``hi`` the top bit of every lane and ``lo`` the other bits, the
+    lane-wise sum is ((x & lo) + (y & lo)) ^ ((x ^ y) & hi): the low bits of
+    a lane add without a carry out of it, and for L = 1, lo = 0 and the sum
+    is XOR.  No other module reads a lane.
     """
 
-    def __init__(self, n: int, modulus: int, words: frozenset[int], candidates: Sequence[Point] = ()):
+    def __init__(self, n: int, modulus: int):
         if modulus < 2 or modulus & (modulus - 1):
             raise ValueError(f"modulus must be a power of two at least 2, got {modulus}")
-        self.n, self.modulus, self.words, self.candidates = n, modulus, words, tuple(candidates)
+        self.n, self.modulus = n, modulus
         L = modulus.bit_length() - 1
-        self._shifts = [L * (n - 1 - j) for j in range(n)]  # lane j's bit offset
-        self._ones = sum(1 << s for s in self._shifts)  # the lowest bit of every lane
+        self._shifts = list(range(L * (n - 1), -1, -L))  # lane j's bit offset, L * (n - 1 - j)
+        self._ones = ((1 << (L * n)) - 1) // ((1 << L) - 1)  # the lowest bit of every lane
         self._hi = self._ones << (L - 1)  # the top bit of every lane
         self._lo = ((1 << (L * n)) - 1) ^ self._hi  # the other bits; 0 when L = 1
 
-    def __len__(self) -> int:
-        return len(self.words)
+    def pack(self, p: Iterable[int]) -> int:
+        """The point p, its n coordinates reduced mod m, as one word."""
+        L, mask, word = self.modulus.bit_length() - 1, self.modulus - 1, 0
+        for x in p:
+            word = (word << L) | (x & mask)
+        return word
 
-    def __contains__(self, p: Sequence[int]) -> bool:
-        """Whether p is a residue; False for a wrong length or a coordinate outside [0, m)."""
-        m = self.modulus
-        return len(p) == self.n and all(0 <= x < m for x in p) and pack_residue(p, m) in self.words
+    def point(self, w: int) -> Point:
+        """The coordinates of the word, each in [0, m)."""
+        mask = self.modulus - 1
+        return tuple(w >> shift & mask for shift in self._shifts)
 
-    def __iter__(self) -> Iterator[Point]:
-        """The residues as points, in lexicographic order, read from the coordinate columns."""
-        return zip(*self._columns)
+    def add(self, x: int, y: int) -> int:
+        """x + y lane-wise mod m, the sum of ``_translates``."""
+        lo = self._lo
+        return ((x & lo) + (y & lo)) ^ ((x ^ y) & self._hi)
+
+    def times(self, w: int, k: int) -> int:
+        """k * w lane-wise mod m for k >= 0, by double-and-add: O(log k) sums, nothing sized by k."""
+        add, acc = self.add, 0
+        while k:
+            if k & 1:
+                acc = add(acc, w)
+            w, k = add(w, w), k >> 1
+        return acc
 
     def _translates(self, words: Iterable[int], g: int) -> Iterator[int]:
         """w + g lane-wise mod 2^L for each w in words, in their order.
@@ -177,6 +171,99 @@ class ResidueSet:
         words, mask = list(words), self.modulus - 1
         return [map(and_, map(rshift, words, repeat(shift)), repeat(mask)) for shift in self._shifts]
 
+    def howell_rows(self, words: Collection[int]) -> list[Point | None]:
+        """An echelon basis, one row per lane, of the subgroup <G> the words generate in (Z/m)^n.
+
+        The words may be any generators: residue words, scaled basis rows,
+        zeros and duplicates alike.  Row j is None when lane j has no pivot:
+        every element of <G> that is 0 in lanes 0..j-1 is 0 in lane j too.
+        Otherwise it is such an element whose lane j reads 2^b, b the least
+        2-adic valuation any of them has there, as a point with coordinates in
+        [0, m).
+
+        This is elimination mod m = 2^L on the packed words (Howell, Lin.
+        Multilin. Algebra 1986; Storjohann & Mulders, ESA 1998), with every word
+        a generator.  At lane j:
+
+        * the pivot is a row whose lane j has the least valuation b, multiplied
+          by the inverse of its odd unit so that the lane reads 2^b;
+        * every other row w loses (w_j / 2^b) times the pivot, so that its lane
+          j reads 0;
+        * 2^(L-b) times the pivot, whose lane j vanishes, joins the rows (the
+          Howell closure), so that the rows left span every element of <G> that
+          is 0 in lanes 0..j, the later lanes never needing the pivot;
+        * zeros and duplicates are dropped, so no lane has more rows than there
+          are words.
+
+        Multiples come from ``times``, kept per multiplier met in a lane, so nothing
+        is sized by 2^L.  The len(words) * n row operations are guarded first.
+        """
+        check_work("howell_rows", len(words) * self.n, MAX_ELIMINATION_WORK)
+        m, add, times = self.modulus, self.add, self.times
+        mask, rows, pivots = m - 1, frozenset(words) - {0}, []
+        for shift in self._shifts:
+            pivot, low = 0, m  # low: 2^b, the least power of two dividing a lane-j entry
+            for w in rows:
+                a = w >> shift & mask
+                if a and a & -a < low:
+                    pivot, low = w, a & -a
+            if not pivot:
+                pivots.append(None)
+                continue
+            b = low.bit_length() - 1
+            pivot = times(pivot, pow((pivot >> shift & mask) >> b, -1, m))
+            minus: dict[int, int] = {}  # lane-j entry a -> -(a / 2^b) * pivot
+            left = {times(pivot, m >> b)}  # the Howell closure row
+            for w in rows:
+                a = w >> shift & mask
+                if a:
+                    g = minus.get(a)
+                    if g is None:
+                        g = minus[a] = times(pivot, -(a >> b) & mask)
+                    w = add(w, g)
+                left.add(w)
+            left.discard(0)
+            pivots.append(pivot)
+            rows = left
+        return [None if p is None else self.point(p) for p in pivots]
+
+
+class ResidueSet(Lanes):
+    """The finite image of a constellation modulo its period.
+
+    The arithmetic mod the period that the lattice, symmetry and spectrum
+    questions run on residues lives here: sums (``fixes``, the closure
+    witness), signed permutations (symmetry) and folded differences
+    (spectrum classes).  Those questions are asked point by point, and
+    ``per_coset`` asks each one once per coset of the verified period
+    subgroup ``period_words``, whose generators ``fixes`` checks.
+
+    It holds the residues, and its period candidates, as packed words
+    (``words``).  Sums add lane-wise with ``_translates``, and membership
+    (``in``, on a point) packs the point and looks it up in ``words``.  The
+    only other stored form is the coordinate columns of the sorted words
+    (``_columns``), unpacked on first use for the folded keys (and those
+    keys' folded columns, within a budget); iterating the set zips the
+    columns into points in lexicographic order, one at a time, so no tuple
+    of points is kept.
+    """
+
+    def __init__(self, n: int, modulus: int, words: frozenset[int], candidates: Sequence[int] = ()):
+        super().__init__(n, modulus)
+        self.words, self.candidates = words, tuple(candidates)
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __contains__(self, p: Sequence[int]) -> bool:
+        """Whether p is a residue; False for a wrong length or a coordinate outside [0, m)."""
+        m = self.modulus
+        return len(p) == self.n and all(0 <= x < m for x in p) and self.pack(p) in self.words
+
+    def __iter__(self) -> Iterator[Point]:
+        """The residues as points, in lexicographic order, read from the coordinate columns."""
+        return zip(*self._columns)
+
     @cached_property
     def _order(self) -> list[int]:
         """The words in increasing order, which is the lexicographic order of the points."""
@@ -187,21 +274,18 @@ class ResidueSet:
         """The j-th coordinates of the sorted residues, one tuple per j."""
         return tuple(map(tuple, self._lanes(self._order)))
 
-    def fixes(self, g: Sequence[int]) -> bool:
-        """Whether R + g = R; translation is a bijection, so R + g inside R suffices.
-
-        g's entries are reduced mod m, so any integer vector may be asked.
-        """
+    def fixes(self, g: int) -> bool:
+        """Whether R + g = R for the packed word g; translation is a bijection, so R + g inside R suffices."""
         members = self.words
-        return all(map(members.__contains__, self._translates(members, pack_residue(g, self.modulus))))
+        return all(map(members.__contains__, self._translates(members, g)))
 
     @cached_property
     def period_words(self) -> set[int]:
         """A subgroup H of the period group G = {t : R + t = R mod m}, as one set of packed words.
 
         G is Forney's translation group of a geometrically uniform code.  H is
-        the group generated by the ``candidates`` g that pass ``fixes(g)`` one
-        by one.  No candidate is trusted unchecked (a scaled codeword need
+        the group generated by the ``candidates``, words g that pass ``fixes``
+        one by one.  No candidate is trusted unchecked (a scaled codeword need
         not fix R, because integer addition carries into the next level), and
         sums of translations that fix R fix R, so H lies in G; a set where no
         candidate passes gets H = {0}.  Each check looks up |R| residues, so
@@ -211,12 +295,11 @@ class ResidueSet:
         check_work("period_group", len(self.candidates) * len(self), MAX_PERIOD_WORK)
         members = {0}
         for g in self.candidates:
-            word = pack_residue(g, self.modulus)
-            if word in members or not self.fixes(g):
+            if g in members or not self.fixes(g):
                 continue
             block = members  # the cosets H + k*g are new until k*g falls in H
             while True:
-                block = list(self._translates(block, word))
+                block = list(self._translates(block, g))
                 if block[0] in members:
                     break
                 members.update(block)
@@ -281,7 +364,7 @@ class ResidueSet:
             outside = map(not_, map(members.__contains__, self._translates(reps, s)))
             t = next(compress(reps, outside), None)
             if t is not None:
-                return tuple(zip(*self._lanes([s, t])))
+                return self.point(s), self.point(t)
         return None
 
     def maps_onto(self, x: Sequence[int], perm: Sequence[int], signs: Sequence[int]) -> bool:
@@ -383,9 +466,12 @@ class ResidueSet:
         caller that stops early leaves the rest unread; each class's
         ``nearest_shell`` is computed once, when the scan finds the class.
         Each call checks the scan's |R/H| * |R| folded keys against its guard
-        before the first class is yielded.
+        before the first class is yielded, then the keys it keeps: at most
+        |R/H| classes of min(|R|, C(n + m/2, n)) keys (n-tuples over [0, m/2]).
         """
-        check_work("spectrum class scan", self.coset_count() * len(self), MAX_SPECTRUM_WORK)
+        n, size, classes = self.n, len(self), self.coset_count()
+        check_work("spectrum class scan", classes * size, MAX_SPECTRUM_WORK)
+        check_work("spectrum class keys", classes * min(size, comb(n + self.modulus // 2, n)), MAX_CLASS_KEYS)
         found, seen, pending, lock = self._class_scan
         i = 0
         while True:
@@ -407,25 +493,21 @@ def residues(chain: CodeChain) -> ResidueSet:
     """Enumerate all digit combinations; exactly one residue per combination.
 
     Level i's digit is bit i of every lane, so a residue's word is the OR of
-    its levels' codewords, each packed and shifted by its level.
+    its levels' codewords, each packed and shifted by its level.  The period
+    candidates are the basis words of every level, packed and shifted alike.
     """
     count = chain.residue_count()
     check_work("residues", count, MAX_RESIDUE_COUNT)
-    m = chain.modulus
-    acc = [0]
+    lanes, acc, candidates = Lanes(chain.n, chain.modulus), [0], []
     for level, code in enumerate(chain.codes):
-        scaled = [pack_residue(w, m) << level for w in code.words]
+        scaled = [lanes.pack(w) << level for w in code.words]
         acc = [a | b for a in acc for b in scaled]
+        candidates += [lanes.pack(w) << level for w in code.basis]
     words = frozenset(acc)
     if len(words) != count:
         # the digit map is injective into [0, 2^L)^n; a clash means corrupted input
         raise RuntimeError("residue enumeration lost points")
-    candidates = tuple(
-        tuple(b << level for b in w)
-        for level, code in enumerate(chain.codes)
-        for w in code.basis
-    )
-    return ResidueSet(chain.n, m, words, candidates)
+    return ResidueSet(chain.n, chain.modulus, words, candidates)
 
 
 def contains(chain: CodeChain, p: Sequence[int]) -> bool:

@@ -4,20 +4,20 @@ Everything runs on arbitrary-precision integers: Hermite Normal Form gives a
 canonical basis, so lattice equality and membership are exact set questions.
 All lattices here contain m * Z^n, m = 2^L, which keeps every computation
 finite: each is the preimage in Z^n of a subgroup of (Z/m)^n.  One
-elimination mod 2^L on packed words (``howell_rows``), which leaves at most
-n pivot rows, builds every lattice here from its generators: the residue
+elimination mod 2^L on packed words (``Lanes.howell_rows``), which leaves at
+most n pivot rows, builds every lattice here from its generators: the residue
 words for the smallest lattice holding a constellation, the scaled
 nested-basis rows for Construction D.  The Construction-D criterion compares
-packed words: the scaled nested-basis combinations, summed lane-wise,
-against the residue words.
+the scaled nested-basis combinations, summed by ``Lanes``, with the residue
+words; no lane is read here.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import Callable, Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .constellation import CodeChain, Point, check_work, pack_residue, residues
+from .constellation import CodeChain, Lanes, Point, check_work, residues
 from .f2 import Record, SpanTracker, Word, schur_closed_chain, unpack
 
 
@@ -90,99 +90,17 @@ def _reduced_above_pivots(basis: list[list[int]]) -> IntegerLattice:
     return IntegerLattice(n=n, basis=basis, determinant=det)
 
 
-MAX_ELIMINATION_WORK = 10**8  # row operations of the elimination mod 2^L: rows times lanes
-
-
-def _lane_sum(n: int, m: int) -> Callable[[int, int], int]:
-    """x + y lane-wise mod m = 2^L, for words of n L-bit lanes: the sum the ``constellation`` docstring derives."""
-    L = m.bit_length() - 1
-    hi = sum(1 << (L * j + L - 1) for j in range(n))  # the top bit of every lane
-    lo = ((1 << (L * n)) - 1) ^ hi  # the other bits; 0 when L = 1
-    return lambda x, y: ((x & lo) + (y & lo)) ^ ((x ^ y) & hi)
-
-
-def howell_rows(n: int, m: int, words: Collection[int]) -> list[Point | None]:
-    """An echelon basis, one row per lane, of the subgroup <G> the words generate in (Z/m)^n.
-
-    The words are packed as ``residues`` packs its words (coordinate j mod m
-    in lane j), and may be any generators: residue words, scaled basis rows,
-    zeros and duplicates alike.  Row j is None when lane j has no pivot:
-    every element of <G> that is 0 in lanes 0..j-1 is 0 in lane j too.
-    Otherwise it is such an element whose lane j reads 2^b, b the least
-    2-adic valuation any of them has there, as a point with coordinates in
-    [0, m).
-
-    This is elimination mod m = 2^L on the packed words (Howell, Lin.
-    Multilin. Algebra 1986; Storjohann & Mulders, ESA 1998), with every word
-    a generator.  At lane j:
-
-    * the pivot is a row whose lane j has the least valuation b, multiplied
-      by the inverse of its odd unit so that the lane reads 2^b;
-    * every other row w loses (w_j / 2^b) times the pivot, so that its lane
-      j reads 0;
-    * 2^(L-b) times the pivot, whose lane j vanishes, joins the rows (the
-      Howell closure), so that the rows left span every element of <G> that
-      is 0 in lanes 0..j, the later lanes never needing the pivot;
-    * zeros and duplicates are dropped, so no lane has more rows than there
-      are words.
-
-    Scalar multiples are taken by double-and-add with the lane-wise sum,
-    O(L) sums each, and kept per multiplier met in a lane, so nothing is
-    sized by 2^L.  The len(words) * n row operations are guarded before the
-    first one.
-    """
-    check_work("howell_rows", len(words) * n, MAX_ELIMINATION_WORK)
-    L, mask = m.bit_length() - 1, m - 1
-    add = _lane_sum(n, m)
-
-    def times(v: int, k: int) -> int:
-        acc = 0
-        while k:
-            if k & 1:
-                acc = add(acc, v)
-            v, k = add(v, v), k >> 1
-        return acc
-
-    shifts = [L * (n - 1 - j) for j in range(n)]  # lane j's bit offset
-    rows, pivots = frozenset(words) - {0}, []
-    for shift in shifts:
-        pivot, low = 0, m  # low: 2^b, the least power of two dividing a lane-j entry
-        for w in rows:
-            a = w >> shift & mask
-            if a and a & -a < low:
-                pivot, low = w, a & -a
-        if not pivot:
-            pivots.append(None)
-            continue
-        b = low.bit_length() - 1
-        pivot = times(pivot, pow((pivot >> shift & mask) >> b, -1, m))
-        minus: dict[int, int] = {}  # lane-j entry a -> -(a / 2^b) * pivot
-        left = {times(pivot, m >> b)}  # the Howell closure row
-        for w in rows:
-            a = w >> shift & mask
-            if a:
-                g = minus.get(a)
-                if g is None:
-                    g = minus[a] = times(pivot, -(a >> b) & mask)
-                w = add(w, g)
-            left.add(w)
-        left.discard(0)
-        pivots.append(pivot)
-        rows = left
-    return [None if p is None else tuple(p >> s & mask for s in shifts) for p in pivots]
-
-
-def _generated_lattice(n: int, m: int, words: Collection[int]) -> IntegerLattice:
+def _generated_lattice(lanes: Lanes, words: Collection[int]) -> IntegerLattice:
     """The lattice the packed words and the period translates m * e_j generate, m = 2^L, in Hermite Normal Form.
 
     It is the preimage in Z^n of the subgroup <G> the words generate in
-    (Z/m)^n.  ``howell_rows`` leaves one row per lane j: its pivot row, or
-    m * e_j where lane j has no pivot.  The n rows are upper triangular and
-    lie in the lattice, and their diagonal product is its index
+    (Z/m)^n.  ``lanes.howell_rows`` leaves one row per lane j: its pivot row,
+    or m * e_j where lane j has no pivot.  The n rows are upper triangular
+    and lie in the lattice, and their diagonal product is its index
     m^n / |<G>|, so they are a basis; reducing the entries above each pivot
     gives the Hermite Normal Form.
     """
-    rows = howell_rows(n, m, words)
+    n, m, rows = lanes.n, lanes.modulus, lanes.howell_rows(words)
     return _reduced_above_pivots(
         [[m if k == j else 0 for k in range(n)] if row is None else list(row) for j, row in enumerate(rows)]
     )
@@ -194,7 +112,8 @@ def smallest_lattice(chain: CodeChain) -> IntegerLattice:
     It is generated by the residues together with the period translates
     m * e_j, m = 2^L: every residue word is a generator of the elimination.
     """
-    return _generated_lattice(chain.n, chain.modulus, residues(chain).words)
+    rs = residues(chain)
+    return _generated_lattice(rs, rs.words)
 
 
 class NestedBasis(NamedTuple):
@@ -245,18 +164,17 @@ def combination_residues(chain: CodeChain) -> frozenset[int]:
 
     These are the representatives of the lattice the nested basis generates,
     reduced modulo the period: 2^(k_1+...+k_L) of them.  Each word is a
-    lane-wise sum of scaled rows, packed as ``residues`` packs its words
-    (coordinate j mod 2^L in lane j), so the set compares with
-    ``ResidueSet.words``.  The combinations are guarded before the first.
+    lane-wise sum of scaled rows, packed by ``Lanes`` as ``residues`` packs
+    its words, so the set compares with ``ResidueSet.words``.  The
+    combinations are guarded before the first.
     """
     nb = select_nested_basis(chain)
     check_work("combination_residues", 1 << sum(nb.dims), MAX_COMBINATIONS)
-    m = chain.modulus
-    add = _lane_sum(chain.n, m)
-    acc = [0]
+    lanes = Lanes(chain.n, chain.modulus)
+    add, acc = lanes.add, [0]
     for level, k in enumerate(nb.dims):
         for row in nb.rows[:k]:
-            g = pack_residue(row, m) << level
+            g = lanes.pack([b * 2**level for b in row])
             acc += [add(a, g) for a in acc]
     out = frozenset(acc)
     if len(out) != chain.residue_count():
@@ -275,10 +193,10 @@ def construction_d(chain: CodeChain) -> IntegerLattice:
     itself a lattice, which the nested linear hypothesis rules out.
     """
     nb = select_nested_basis(chain)
-    m = chain.modulus
-    scaled = [pack_residue(row, m) << level for level, k in enumerate(nb.dims) for row in nb.rows[:k]]
-    lat = _generated_lattice(chain.n, m, scaled)
-    if lat.points_per_period(m) != chain.residue_count():
+    lanes = Lanes(chain.n, chain.modulus)
+    scaled = [lanes.pack([b * 2**level for b in row]) for level, k in enumerate(nb.dims) for row in nb.rows[:k]]
+    lat = _generated_lattice(lanes, scaled)
+    if lat.points_per_period(chain.modulus) != chain.residue_count():
         raise RuntimeError("combination lattice has the wrong point count per period")
     return lat
 

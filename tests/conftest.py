@@ -310,15 +310,20 @@ def pack_point(m: int, p: Sequence[int]) -> int:
     return sum((x % m) << (L * (len(p) - 1 - j)) for j, x in enumerate(p))
 
 
+def unpack_point(n: int, m: int, w: int) -> Point:
+    """The n coordinates of a word packed as pack_point packs it."""
+    L = m.bit_length() - 1
+    return tuple((w >> (L * (n - 1 - j))) & (m - 1) for j in range(n))
+
+
 def packed_set(n: int, m: int, points: Iterable[Sequence[int]], candidates: Sequence[Point] = ()) -> ResidueSet:
-    """A residue set built by hand from points, packed one word per point."""
-    return ResidueSet(n, m, frozenset(pack_point(m, p) for p in points), candidates)
+    """A residue set built by hand from points, packed one word per point and per candidate."""
+    return ResidueSet(n, m, frozenset(pack_point(m, p) for p in points), [pack_point(m, g) for g in candidates])
 
 
 def period_points(rs: ResidueSet) -> frozenset[Point]:
     """The period subgroup ``rs.period_words``, unpacked to points."""
-    L, m = rs.modulus.bit_length() - 1, rs.modulus
-    return frozenset(tuple((h >> (L * (rs.n - 1 - j))) & (m - 1) for j in range(rs.n)) for h in rs.period_words)
+    return frozenset(unpack_point(rs.n, rs.modulus, h) for h in rs.period_words)
 
 
 def fixes_oracle(rs: ResidueSet, g: Sequence[int]) -> bool:
@@ -331,7 +336,7 @@ def period_group_oracle(rs: ResidueSet) -> frozenset[Point]:
     """Slow path of ResidueSet.period_words: the candidates that pass fixes_oracle, closed on tuples."""
     m, zero = rs.modulus, (0,) * rs.n
     group, members = [zero], {zero}
-    for g in rs.candidates:
+    for g in (unpack_point(rs.n, m, w) for w in rs.candidates):
         if g in members or not fixes_oracle(rs, g):
             continue
         block = group

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -13,6 +14,7 @@ import ccc
 from ccc import cli, parallel
 from ccc.chainfile import parse_chain
 from ccc.cli import main
+from ccc.constellation import ResidueSet, residues
 from ccc.presets import example5
 
 
@@ -253,6 +255,38 @@ def test_reflection_guard_is_input_error(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "gu", "-")
     assert code == 2 and out == ""
     assert err == "error: gu_check_two_level: work 268435456 exceeds the guard of 100000000\n"
+
+
+def random_chain_text(sizes: tuple[int, ...], n: int = 10, seed: int = 12) -> str:
+    """A chain file of one level per size, each that many distinct random words of length n."""
+    rng = random.Random(seed)
+    levels = [rng.sample(range(1 << n), k) for k in sizes]
+    return f"n {n}\nL {len(sizes)}\n" + "".join(
+        f"code {i} explicit\n" + "".join(f"{w:0{n}b}\n" for w in words) for i, words in enumerate(levels, 1)
+    )
+
+
+def test_class_keys_guard_refuses_before_the_first_key_count(capsys, monkeypatch):
+    # n = 10, L = 3 and H = {0}: each of the |R| classes the scan may find keeps
+    # at most min(|R|, C(10 + 4, 10)) = 1001 keys.  7,200 residues may keep
+    # 7,207,200 keys, which is refused; 2,000 residues (2,002,000) still run
+    centers = []
+    key_counts = ResidueSet.key_counts
+
+    def spy(self, c):
+        centers.append(c)
+        assert len(self) == 2000, "a key count of the refused chain"
+        return key_counts(self, c)
+
+    monkeypatch.setattr(ResidueSet, "key_counts", spy)
+    monkeypatch.setattr("sys.stdin", text_stdin(random_chain_text((20, 20, 18))))
+    code, out, err = run_cli(capsys, "eds", "-")
+    assert code == 2 and out == ""
+    assert err == "error: spectrum class keys: work 7207200 exceeds the guard of 4000000\n"
+    assert centers == []
+    rs = residues(parse_chain(random_chain_text((20, 10, 10))))
+    assert rs.coset_count() == len(rs) == 2000
+    assert next(rs.class_shells())[0] == centers[0] == next(iter(rs))
 
 
 def test_sign_pattern_guard_is_input_error(capsys, monkeypatch):

@@ -4,12 +4,13 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccc import constellation
 from ccc.constellation import (
     CodeChain,
+    Lanes,
     ResidueSet,
     contains,
     cw_members,
@@ -255,6 +256,36 @@ def test_per_coset_nested_chains(chain, data):
     _check_per_coset(chain, data)
 
 
+@st.composite
+def lane_cases(draw) -> tuple[int, int, list[tuple[int, ...]], int]:
+    """n <= 6, m = 2^L for L in 1..9 or 40, two to five points with coordinates in [-3m, 3m], and k in [0, 2m]."""
+    n, m = draw(st.integers(1, 6)), 1 << draw(st.sampled_from([*range(1, 10), 40]))
+    point = st.lists(st.integers(-3 * m, 3 * m), min_size=n, max_size=n).map(tuple)
+    return n, m, draw(st.lists(point, min_size=2, max_size=5)), draw(st.integers(0, 2 * m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lane_cases())
+@example((3, 2, [(1, 1, 0), (1, 0, 1)], 3))  # L = 1: the sum is XOR
+@example((2, 4, [(3, 3), (3, 3)], 8))  # every lane carries out of its top bit, the top lane too
+@example((2, 1 << 40, [((1 << 40) - 1, -1), (1, 1)], (1 << 41) - 1))  # 80-bit words
+def test_lanes_match_tuple_arithmetic(case):
+    # words are checked against conftest's own packing, so a wrong lane
+    # offset fails even where pack and point would agree with each other,
+    # and a carry kept out of a lane changes the lane above it
+    n, m, points, k = case
+    lanes, reduced = Lanes(n, m), [tuple(x % m for x in p) for p in points]
+    words = [lanes.pack(p) for p in points]
+    assert words == [pack_point(m, p) for p in points]
+    assert [lanes.point(w) for w in words] == reduced
+    (x, y), (p, q) = words[:2], reduced[:2]
+    total = lanes.add(x, y)
+    assert total == pack_point(m, [a + b for a, b in zip(p, q)])
+    assert m > 2 or total == x ^ y
+    assert lanes.times(x, k) == pack_point(m, [k * a for a in p])
+    assert list(lanes._translates(words, y)) == [pack_point(m, [a + b for a, b in zip(r, q)]) for r in reduced]
+
+
 ONE_LEVEL_CHAINS = [
     CodeChain.of(span([(1, 1)])),
     CodeChain.of(code_from_words([(0, 1), (1, 0)])),  # L = 1 and not a group: the sum is XOR
@@ -282,7 +313,7 @@ def test_packed_core_matches_tuple_oracles(chain, data):
     z = data.draw(st.lists(st.integers(-3, 3), min_size=chain.n, max_size=chain.n), label="z")
     anything = data.draw(st.lists(st.integers(-3 * m, 3 * m), min_size=chain.n, max_size=chain.n), label="g")
     for g in (tuple(a - b + m * k for a, b, k in zip(r, s, z)), tuple(anything)):
-        assert rs.fixes(g) == fixes_oracle(rs, g)
+        assert rs.fixes(pack_point(m, g)) == fixes_oracle(rs, g)
     # a signed permutation at a member, the bare translation by -r, and the
     # reflection at r that flips its odd coordinates
     x = tuple(a + m * k for a, k in zip(r, z))

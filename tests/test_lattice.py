@@ -5,13 +5,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccc import constellation, lattice
-from ccc.constellation import CodeChain, ResidueSet, residues
+from ccc.constellation import CodeChain, Lanes, ResidueSet, residues
 from ccc.f2 import SpanTracker, code_from_words, span
 from ccc.lattice import (
     combination_residues,
     construction_d,
     equivalence_report,
-    howell_rows,
     is_lattice_direct,
     select_nested_basis,
     smallest_lattice,
@@ -121,7 +120,7 @@ def test_smallest_lattice_howell_closure_and_odd_unit():
     # the pivot (3, 1) is multiplied by 3^-1 = 11 mod 16, so lane 0 reads 1
     assert smallest_lattice(ODD_UNIT).basis == ((1, 11), (0, 16))
     for chain, rows in ((HOWELL_CLOSURE, [(2, 1), (0, 2)]), (ODD_UNIT, [(1, 11), None])):
-        assert howell_rows(chain.n, chain.modulus, residues(chain).words) == rows
+        assert Lanes(chain.n, chain.modulus).howell_rows(residues(chain).words) == rows
 
 
 @st.composite
@@ -141,7 +140,7 @@ def test_howell_rows_on_any_generator_words_give_the_oracle_lattice(case):
     n, m, words = case
     L = m.bit_length() - 1
     points = [tuple(w >> (L * (n - 1 - j)) & (m - 1) for j in range(n)) for w in words]
-    rows = howell_rows(n, m, words)
+    rows = Lanes(n, m).howell_rows(words)
     assert len(rows) == n
     for j, row in enumerate(rows):
         if row is not None:  # echelon: 0 before lane j, a power of two below m in lane j
@@ -149,7 +148,7 @@ def test_howell_rows_on_any_generator_words_give_the_oracle_lattice(case):
     unit = period_translates(n, m)
     expected = euclidean_hnf([*points, *unit])
     assert euclidean_hnf([unit[j] if row is None else row for j, row in enumerate(rows)]) == expected
-    assert lattice._generated_lattice(n, m, words) == expected
+    assert lattice._generated_lattice(Lanes(n, m), words) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -177,25 +176,20 @@ def test_elimination_guard_refuses_before_the_first_row_operation(monkeypatch):
     # dplus5 has 2 * 16 residues in 5 lanes: 160 row operations
     chain = dplus_chain(5)
     adds = [0]
-    lane_sum = lattice._lane_sum
+    add = Lanes.add
 
-    def counting_sum(n, m):
-        add = lane_sum(n, m)
+    def counted(self, x, y):
+        adds[0] += 1
+        return add(self, x, y)
 
-        def counted(x, y):
-            adds[0] += 1
-            return add(x, y)
-
-        return counted
-
-    monkeypatch.setattr(lattice, "_lane_sum", counting_sum)
-    monkeypatch.setattr(lattice, "MAX_ELIMINATION_WORK", 159)
+    monkeypatch.setattr(Lanes, "add", counted)
+    monkeypatch.setattr(constellation, "MAX_ELIMINATION_WORK", 159)
     rs = residues(chain)
-    for run in (lambda: howell_rows(rs.n, rs.modulus, rs.words), lambda: smallest_lattice(chain)):
+    for run in (lambda: Lanes(rs.n, rs.modulus).howell_rows(rs.words), lambda: smallest_lattice(chain)):
         with pytest.raises(ValueError, match=r"^howell_rows: work 160 exceeds the guard of 159$"):
             run()
     assert adds == [0]
-    monkeypatch.setattr(lattice, "MAX_ELIMINATION_WORK", 160)
+    monkeypatch.setattr(constellation, "MAX_ELIMINATION_WORK", 160)
     assert smallest_lattice(chain) == smallest_lattice_oracle(chain)
     assert adds[0] > 0
 
