@@ -82,8 +82,8 @@ def build_parser() -> argparse.ArgumentParser:
     chain_parent.add_argument(
         "--threads",
         type=int,
-        default=None,
-        help="worker threads for nsm (0 = auto; default 1, or CCC_THREADS)",
+        default=1,
+        help="worker threads for nsm (0 = one per core; default 1)",
     )
 
     sub.add_parser("info", parents=[chain_parent], help="chain summary")
@@ -134,7 +134,8 @@ def _dispatch(args: argparse.Namespace) -> tuple[int, str]:
     if args.fmt == "tsv" and args.command != "spectrum":
         raise ValueError("tsv output is only available for the spectrum command")
     started = time.perf_counter()
-    args.threads = _threads(args)  # validated for every chain command; only nsm uses it
+    if args.threads < 0:  # validated for every chain command; only nsm uses it
+        raise ValueError("thread count must be nonnegative")
     chain = _load_chain(args)
     handler = _HANDLERS[args.command]
     results, code, human = handler(chain, args)
@@ -178,21 +179,6 @@ def _load_chain(args: argparse.Namespace) -> CodeChain:
     from .chainfile import parse_chain
 
     return parse_chain(text)
-
-
-def _threads(args: argparse.Namespace) -> int:
-    t = args.threads
-    if t is None:
-        env = os.environ.get("CCC_THREADS", "1")
-        try:
-            t = int(env)
-        except ValueError:
-            raise ValueError(f"CCC_THREADS must be an integer, got {env!r}") from None
-    if t == 0:
-        return os.cpu_count() or 1
-    if t < 0:
-        raise ValueError("thread count must be nonnegative")
-    return t
 
 
 def _render(args: argparse.Namespace, report: dict, human: list[str], runtime: float) -> str:

@@ -21,14 +21,15 @@ def ordered_map(
 ) -> list[R]:
     """fn(ws, item) for every item, in a list in input order.
 
-    Each worker owns one ``ws = workspace()``, made in the calling thread
-    before any worker starts, and worker j takes items j, j + workers, ...
-    There are never more workers than items or cores, so a large request
-    starts no more threads than can run.  An exception raised by fn is
-    re-raised here once every worker has stopped: the one of the earliest item.
+    ``threads`` workers run, one per core when it is 0 and never more than
+    items or cores.  Each owns one ``ws = workspace()``, made in the calling
+    thread before any worker starts, and worker j takes items j, j + workers,
+    ...  An exception raised by fn is re-raised here once every worker has
+    stopped: the one of the earliest item.
     """
     items = list(items)
-    workers = min(threads, len(items), os.cpu_count() or 1)
+    cores = os.cpu_count() or 1
+    workers = min(threads or cores, len(items), cores)
     if workers <= 1:
         ws = workspace()
         return [fn(ws, x) for x in items]

@@ -54,7 +54,6 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 from .constellation import CodeChain, Point, check_work, residues
 from .f2 import BinaryCode, Record
 from .parallel import ordered_map
-from .presets import dplus_chain  # noqa: F401  re-exported as ccc.quantizer.dplus_chain
 
 if TYPE_CHECKING:
     import numpy as np
@@ -297,8 +296,8 @@ def nsm_estimate(
 
     The sample stream comes from a counter-based generator in a fixed batch
     layout and the batch sums are combined with exact float summation, so the
-    estimate is bit-identical for a given (seed, samples) regardless of the
-    worker count.  Each worker decodes its batches through its own workspace.
+    estimate is bit-identical for a given (seed, samples) whatever the number
+    of workers, ``threads`` or one per core at 0, each with its own workspace.
     """
     if samples < 1000:
         raise ValueError(f"at least 1000 samples required, got {samples}")

@@ -29,7 +29,7 @@ search asks first; the scan checks its own |R/H| * |R| guard.  ``key_counts``
 reads the keys one folded coordinate column at a time, never sized by the
 modulus 2^L, and keeps a column asked for a second time (a later center with
 the same value in that coordinate) on the residue set, within
-COLUMN_STORE_ENTRIES entries per set.  This module keeps the per-table guard
+COLUMN_STORE_ENTRIES entries per set.  This module keeps both table guards
 and builds the tables: a key's table is its sorted prefix's table convolved
 with the last digit's coset profile over nonzero (d2, count) pairs, so keys
 that share a prefix share its cached table.
@@ -199,13 +199,20 @@ def _key_table(m: int, key: tuple[int, ...], r2max: int) -> tuple[tuple[int, int
 
 
 def _check_table_work(rs: ResidueSet, r2max: int) -> None:
-    """The per-table guard: one (r2max + 1)-entry convolution per residue's key."""
+    """The cheap table guard, checked before the class scan: (r2max + 1) entries per residue's key."""
     if r2max < 1:
         raise ValueError("r2max must be at least 1")
     check_work("spectrum enumeration", (r2max + 1) * len(rs), MAX_SPECTRUM_WORK)
 
 
 def _table_from_keys(m: int, keys: KeyCounts, r2max: int) -> dict[int, int]:
+    """These keys' table, refused before the first convolution if it may visit over MAX_SPECTRUM_WORK pairs.
+
+    Step k of a key's n meets at most min(P^(k-1), r2max + 1) prefix entries with a profile of at most P.
+    """
+    p = 2 * isqrt(r2max) // m + 1  # P: |v| <= isqrt(r2max) holds at most this many v = u mod m
+    n = len(next(iter(keys))[0])  # every key has the chain's length
+    check_work("spectrum tables", len(keys) * sum(min(p**k, (r2max + 1) * p) for k in range(1, n + 1)), MAX_SPECTRUM_WORK)
     totals: dict[int, int] = {}
     for key, mult in keys:
         for d2, cnt in _key_table(m, key, r2max):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ccc
-from ccc import cli, parallel
+from ccc import cli, parallel, spectrum
 from ccc.chainfile import parse_chain
 from ccc.cli import main
 from ccc.constellation import ResidueSet, residues
@@ -343,12 +343,6 @@ def test_unreadable_chain_file_names_path_and_reason(capsys, tmp_path, kind, rea
     assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {reason}")
 
 
-def test_ccc_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("CCC_THREADS", "2")
-    code, report = run_json(capsys, "eds", "--preset", "example1")
-    assert code == 0 and report["results"]["eds"] is True
-
-
 CHAIN_COMMANDS = {
     "info": ["info"],
     "lattice": ["lattice"],
@@ -369,10 +363,21 @@ def test_bad_thread_count_is_input_error(capsys, monkeypatch, command):
     assert (code, out) == (2, "")
     assert err.startswith("error: thread count") and "Traceback" not in err
 
+    # --threads is the one source of a thread count: the environment changes nothing
+    expected = run_cli(capsys, *argv, "--format", "json")[:2]
     monkeypatch.setenv("CCC_THREADS", "two")
-    code, out, err = run_cli(capsys, *argv)
+    assert run_cli(capsys, *argv, "--format", "json")[:2] == expected
+
+
+def test_spectrum_table_guard_refuses_before_the_first_convolution(capsys, monkeypatch, tmp_path):
+    # one residue, so the cheap guard passes with 10^6 + 1 entries, but the one
+    # key (0,) * 8 meets profiles of 1,001 entries: 6 * 10^9 pairs at most
+    path = tmp_path / "zero8.chain"
+    path.write_text("n 8\nL 1\ncode 1 explicit\n00000000\n")
+    monkeypatch.setattr(spectrum, "_key_table", None)  # no table may be convolved
+    code, out, err = run_cli(capsys, "spectrum", str(path), "--center", "0,0,0,0,0,0,0,0", "--r2max", "1000000")
     assert (code, out) == (2, "")
-    assert err.startswith("error: CCC_THREADS") and "Traceback" not in err
+    assert err == "error: spectrum tables: work 6007009008 exceeds the guard of 100000000\n"
 
 
 def test_nsm_thread_pool_is_capped(capsys, monkeypatch):

@@ -83,7 +83,6 @@ NSM_REPORT = """{
 def fresh_process(script: str, *args: str) -> subprocess.CompletedProcess:
     """``script`` run with ``args`` in a new interpreter that imports ``ccc`` from this checkout."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    env.pop("CCC_THREADS", None)
     return subprocess.run(
         [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=120,
     )
@@ -236,8 +235,6 @@ def test_public_names_are_the_defining_modules_objects():
         for name in names:
             assert getattr(ccc, name) is getattr(mod, name), name
     assert ccc.__version__ == "0.1.0"
-    # dplus_chain moved to presets; its former home still resolves it
-    assert ccc.quantizer.dplus_chain is ccc.dplus_chain
 
 
 def test_star_import_and_dir_list_the_public_names():

@@ -10,11 +10,12 @@ def test_ordered_map_merges_in_input_order_and_raises_the_earliest_error(monkeyp
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
-        made: list[int] = []
-        out = parallel.ordered_map(lambda ws, x: (ws, x * x), range(200), 8, lambda: made.append(1) or len(made))
-        assert [sq for _, sq in out] == [x * x for x in range(200)]
-        # eight workspaces, one per worker, and worker j took items j, j + 8, ...
-        assert made == [1] * 8 and [ws for ws, _ in out] == [x % 8 + 1 for x in range(200)]
+        for threads in (8, 0):  # 0 is one worker per core
+            made: list[int] = []
+            out = parallel.ordered_map(lambda ws, x: (ws, x * x), range(200), threads, lambda: made.append(1) or len(made))
+            assert [sq for _, sq in out] == [x * x for x in range(200)]
+            # eight workspaces, one per worker, and worker j took items j, j + 8, ...
+            assert made == [1] * 8 and [ws for ws, _ in out] == [x % 8 + 1 for x in range(200)]
 
         def fail(ws, x):
             if x in (37, 90):

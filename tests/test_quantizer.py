@@ -88,6 +88,8 @@ def test_nsm_thread_count_does_not_change_result():
     a = nsm_estimate(chain, 20000, seed=9, threads=1)
     b = nsm_estimate(chain, 20000, seed=9, threads=8)
     assert (a.value, a.stderr) == (b.value, b.stderr)
+    c = nsm_estimate(chain, 20000, seed=9, threads=0)  # one worker per core
+    assert (a.value, a.stderr) == (c.value, c.stderr)
 
 
 def test_nsm_sample_guard():

@@ -3,6 +3,7 @@ import random
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -462,6 +463,39 @@ def key_digits(L: int):
 def test_key_table_matches_the_dense_convolution(case):
     L, key, r2max = case
     assert spectrum_mod._key_table(1 << L, key, r2max) == key_table_oracle(1 << L, key, r2max)
+
+
+def convolution_pairs_oracle(m: int, key: tuple[int, ...], r2max: int) -> int:
+    """The (d2, e2) pairs of key's convolutions: each prefix table's support times the next digit's profile."""
+    r = isqrt(r2max)
+    support = {0}
+    pairs = 0
+    for u in key:
+        profile = {v * v for v in range(-r, r + 1) if (v - u) % m == 0}
+        pairs += len(support) * len(profile)
+        support = {d2 + e2 for d2 in support for e2 in profile if d2 + e2 <= r2max}
+    return pairs
+
+
+def same_length_keys(L: int):
+    """One to three distinct sorted folded keys mod 2^L, all of one length from 1 to 6."""
+    digit = st.integers(0, 1 << (L - 1))
+    return st.integers(1, 6).flatmap(
+        lambda n: st.sets(st.lists(digit, min_size=n, max_size=n).map(sorted).map(tuple), min_size=1, max_size=3)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda L: st.tuples(st.just(L), same_length_keys(L), st.integers(1, 4000))))
+def test_table_guard_bounds_the_convolution_pairs(case):
+    L, keys, r2max = case
+    works = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum_mod, "check_work", lambda routine, work, guard: works.append((routine, work, guard)))
+        spectrum_mod._table_from_keys(1 << L, frozenset((key, 1) for key in keys), r2max)
+    [(routine, work, guard)] = works
+    assert (routine, guard) == ("spectrum tables", constellation.MAX_SPECTRUM_WORK)
+    assert work >= sum(convolution_pairs_oracle(1 << L, key, r2max) for key in keys)
 
 
 def test_key_tables_share_their_sorted_prefixes():
