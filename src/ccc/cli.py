@@ -24,7 +24,7 @@ import gc
 import os
 import sys
 import time
-from typing import Sequence
+from typing import Any, Sequence
 
 # Each command imports the modules it runs.  These two load with the CLI
 # because perfbench/run.py's cache meter reads them from sys.modules right
@@ -200,8 +200,18 @@ def _point(text: str) -> tuple[int, ...]:
         raise ValueError(f"bad coordinate list {text!r}; expected comma-separated integers")
 
 
-def _pt(p) -> list[int]:
-    return [int(v) for v in p]
+def _fields(value: Any) -> Any:
+    """A result record (a NamedTuple) as a dict keyed by its field names.
+
+    Records nested in it, alone or in a tuple, become dicts too, since json
+    writes a NamedTuple as an array.  Any other value is returned as it is:
+    json writes a tuple with the bytes of a list.
+    """
+    if hasattr(value, "_fields"):
+        return {name: _fields(v) for name, v in zip(value._fields, value)}
+    if isinstance(value, tuple) and value and hasattr(value[0], "_fields"):
+        return [_fields(v) for v in value]
+    return value
 
 
 def _cmd_info(chain: CodeChain, args) -> tuple[dict, int, list[str]]:
@@ -233,9 +243,9 @@ def _cmd_lattice(chain: CodeChain, args) -> tuple[dict, int, list[str]]:
         "witness": None
         if witness is None
         else {
-            "s": _pt(witness[0]),
-            "t": _pt(witness[1]),
-            "sum_mod": _pt((a + b) % chain.modulus for a, b in zip(*witness)),
+            "s": witness[0],
+            "t": witness[1],
+            "sum_mod": [(a + b) % chain.modulus for a, b in zip(*witness)],
         },
     }
     human = [f"lattice: {ok}"]
@@ -248,14 +258,7 @@ def _cmd_theorem1(chain: CodeChain, args) -> tuple[dict, int, list[str]]:
     from . import lattice
 
     rep = lattice.equivalence_report(chain)
-    results = {
-        "is_lattice": rep.is_lattice,
-        "equals_smallest_lattice": rep.equals_smallest_lattice,
-        "schur_closed": rep.schur_closed,
-        "equals_construction_d": rep.equals_construction_d,
-        "consistent": rep.consistent,
-        "verdict": rep.verdict if rep.consistent else None,
-    }
+    results = dict(_fields(rep), consistent=rep.consistent, verdict=rep.verdict if rep.consistent else None)
     human = [
         f"direct lattice test:      {rep.is_lattice}",
         f"equals smallest lattice:  {rep.equals_smallest_lattice}",
@@ -273,7 +276,7 @@ def _cmd_spectrum(chain: CodeChain, args) -> tuple[dict, int, list[str]]:
     center = _point(args.center)
     table = spectrum.spectrum_at(chain, center, args.r2max)
     results = {
-        "center": _pt(center),
+        "center": center,
         "r2max": args.r2max,
         "counts": [[d2, cnt] for d2, cnt in sorted(table.counts.items())],
         "total": table.total(),
@@ -288,22 +291,10 @@ def _eds_r2max(chain: CodeChain, args) -> int:
     return args.r2max if args.r2max is not None else spectrum.default_eds_radius(chain)
 
 
-def _witness_dict(w: spectrum.EdsWitness | None) -> dict | None:
-    if w is None:
-        return None
-    return {
-        "center_a": _pt(w.center_a),
-        "center_b": _pt(w.center_b),
-        "d2": w.d2,
-        "count_a": w.count_a,
-        "count_b": w.count_b,
-    }
-
-
 def _cmd_eds(chain: CodeChain, args) -> tuple[dict, int, list[str]]:
     r2max = _eds_r2max(chain, args)
     equal, witness = spectrum.eds_check(chain, r2max)
-    results = {"eds": equal, "r2max": r2max, "witness": _witness_dict(witness)}
+    results = {"eds": equal, "r2max": r2max, "witness": _fields(witness)}
     human = [f"equal distance spectra up to d^2={r2max}: {equal}"]
     if witness is not None:
         human.append(
@@ -317,13 +308,7 @@ def _cmd_gu(chain: CodeChain, args) -> tuple[dict, int, list[str]]:
     from . import uniformity
 
     res = uniformity.gu_check_two_level(chain)
-    results = {
-        "uniform": res.uniform,
-        "certificates": [
-            {"x": _pt(c.x), "signs": list(c.signs)} for c in res.certificates
-        ],
-        "failing": None if res.failing is None else _pt(res.failing),
-    }
+    results = _fields(res)
     human = [f"geometrically uniform (reflection certificates): {res.uniform}"]
     human.append(f"certified residues: {len(res.certificates)}")
     if res.failing is not None:
@@ -336,20 +321,7 @@ def _cmd_gu_search(chain: CodeChain, args) -> tuple[dict, int, list[str]]:
 
     r2max = _eds_r2max(chain, args)
     res = uniformity.gu_subgroup_search(chain, r2max)
-    results = {
-        "verdict": res.verdict,
-        "r2max": r2max,
-        "eds_witness": _witness_dict(res.eds_witness),
-        "isometries": [
-            {
-                "permutation": list(iso.permutation),
-                "signs": list(iso.signs),
-                "translation": _pt(iso.translation),
-            }
-            for iso in res.isometries
-        ],
-        "unresolved": None if res.unresolved is None else _pt(res.unresolved),
-    }
+    results = dict(_fields(res), r2max=r2max)
     human = [f"verdict: {res.verdict}"]
     if res.eds_witness is not None:
         w = res.eds_witness
@@ -367,35 +339,20 @@ def _cmd_partner(chain: CodeChain, args) -> tuple[dict, int, list[str]]:
     from . import uniformity
 
     x, y, xp = _point(args.x), _point(args.y), _point(args.xp)
-    base = {"mode": args.mode, "x": _pt(x), "y": _pt(y), "xp": _pt(xp)}
+    base = {"mode": args.mode, "x": x, "y": y, "xp": xp}
     if args.mode == "lemma1":
         yprime, trace = uniformity.partner_construct(chain, x, y, xp)
-        results = dict(
-            base,
-            partner=_pt(yprime),
-            trace={
-                "e1": list(trace.e1),
-                "e2": list(trace.e2),
-                "e1p": list(trace.e1p),
-                "e2p": list(trace.e2p),
-                "delta": list(trace.delta),
-                "zbar": list(trace.zbar),
-            },
-        )
+        steps = _fields(trace)
+        results = dict(base, partner=steps.pop("yprime"), trace=steps)
         return results, EXIT_OK, [f"partner: {yprime}", f"delta: {trace.delta}"]
     if args.mode == "cw-brute":
         found = uniformity.partner_bruteforce(chain, x, y, xp)
-        results = dict(base, partner=None if found is None else _pt(found))
+        results = dict(base, partner=found)
         human = [f"partner: {found}"]
         return results, EXIT_OK if found is not None else EXIT_REFUTED, human
     solutions = uniformity.euclidean_partner_all(chain, x, y, xp)
     d2 = sum((a - b) ** 2 for a, b in zip(y, x))
-    results = dict(
-        base,
-        d2=d2,
-        partner=None if not solutions else _pt(solutions[0]),
-        solutions=[_pt(s) for s in solutions],
-    )
+    results = dict(base, d2=d2, partner=solutions[0] if solutions else None, solutions=solutions)
     human = [f"members at squared distance {d2} from {xp}: {len(solutions)}"]
     if solutions:
         human.append(f"first: {solutions[0]}")

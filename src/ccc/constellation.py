@@ -42,6 +42,7 @@ MAX_WITNESS_WORK = 10**8  # coset-representative pairs of the closure witness sc
 MAX_SPECTRUM_WORK = 10**8  # folded keys of the class scan; table entries of a spectrum
 MAX_CLASS_KEYS = 4 * 10**6  # distinct folded keys the class scan keeps, about 260 B each
 MAX_ELIMINATION_WORK = 10**8  # row operations of the elimination mod 2^L: rows times lanes
+MAX_BOX_POINTS = 4 * 10**6  # candidate points of points_in_box, the memory scale MAX_CLASS_KEYS allows
 COLUMN_STORE_ENTRIES = 1 << 18  # folded-column entries a residue set keeps for later centers: 2 MB of pointers
 
 
@@ -540,13 +541,20 @@ def decompose(chain: CodeChain, p: Sequence[int]) -> tuple[tuple[Word, ...], Poi
 
 
 def points_in_box(chain: CodeChain, lo: Sequence[int], hi: Sequence[int]) -> list[Point]:
-    """All constellation members in the closed box [lo, hi], sorted lexicographically."""
+    """All constellation members in the closed box [lo, hi], sorted lexicographically.
+
+    Each residue has at most (hi_j - lo_j) // m + 1 translates in coordinate
+    j, so |R| times their product bounds the points; it is guarded before the
+    first residue is read.
+    """
     n = chain.n
     if len(lo) != n or len(hi) != n:
         raise ValueError("box corners must match the chain length")
     if any(a > b for a, b in zip(lo, hi)):
         raise ValueError(f"degenerate box: {tuple(lo)} > {tuple(hi)}")
     m = chain.modulus
+    bound = chain.residue_count() * prod((b - a) // m + 1 for a, b in zip(lo, hi))
+    check_work("points_in_box", bound, MAX_BOX_POINTS)
     out: list[Point] = []
     for s in residues(chain):
         # per-coordinate translate candidates s_j + m*z_j inside [lo_j, hi_j]

@@ -159,6 +159,12 @@ def select_nested_basis(chain: CodeChain) -> NestedBasis:
 MAX_COMBINATIONS = 1 << 22
 
 
+def _scaled_rows(chain: CodeChain) -> tuple[Lanes, list[int]]:
+    """The chain's ``Lanes`` and its k_1+...+k_L nested-basis rows, each row b of level i packed as 2^i * b."""
+    nb, lanes = select_nested_basis(chain), Lanes(chain.n, chain.modulus)
+    return lanes, [lanes.pack([b * 2**level for b in row]) for level, k in enumerate(nb.dims) for row in nb.rows[:k]]
+
+
 def combination_residues(chain: CodeChain) -> frozenset[int]:
     """All 0/1 combinations of the nested basis rows, scaled level by level, as packed residue words.
 
@@ -168,14 +174,11 @@ def combination_residues(chain: CodeChain) -> frozenset[int]:
     its words, so the set compares with ``ResidueSet.words``.  The
     combinations are guarded before the first.
     """
-    nb = select_nested_basis(chain)
-    check_work("combination_residues", 1 << sum(nb.dims), MAX_COMBINATIONS)
-    lanes = Lanes(chain.n, chain.modulus)
+    lanes, rows = _scaled_rows(chain)
+    check_work("combination_residues", 1 << len(rows), MAX_COMBINATIONS)
     add, acc = lanes.add, [0]
-    for level, k in enumerate(nb.dims):
-        for row in nb.rows[:k]:
-            g = lanes.pack([b * 2**level for b in row])
-            acc += [add(a, g) for a in acc]
+    for g in rows:
+        acc += [add(a, g) for a in acc]
     out = frozenset(acc)
     if len(out) != chain.residue_count():
         raise RuntimeError("basis combinations collided modulo the period")
@@ -192,10 +195,7 @@ def construction_d(chain: CodeChain) -> IntegerLattice:
     |C_1|...|C_L|; anything else would mean the combination set is not
     itself a lattice, which the nested linear hypothesis rules out.
     """
-    nb = select_nested_basis(chain)
-    lanes = Lanes(chain.n, chain.modulus)
-    scaled = [lanes.pack([b * 2**level for b in row]) for level, k in enumerate(nb.dims) for row in nb.rows[:k]]
-    lat = _generated_lattice(lanes, scaled)
+    lat = _generated_lattice(*_scaled_rows(chain))
     if lat.points_per_period(chain.modulus) != chain.residue_count():
         raise RuntimeError("combination lattice has the wrong point count per period")
     return lat

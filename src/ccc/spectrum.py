@@ -98,48 +98,34 @@ def eds_check(chain: CodeChain, r2max: int) -> tuple[bool, EdsWitness | None]:
 
     Residues suffice as centers because period translates preserve spectra,
     and one center per spectrum class suffices because a class shares its
-    table.  Each class is compared with the first class shell-first: a table
-    holds nothing below its nearest shell (d2, count) and exactly count
-    points at d2, so two classes whose shells differ first disagree at the
-    smaller shell's d2, with the shell count there or 0 on each side, and
-    agree out to r2max when both shells lie beyond it.  Only classes whose
-    shells agree are compared by ``spectrum_at`` tables, and the first
-    class's table is built at most once, for the first such class; a
-    one-class chain builds none.  The witness is the first residue (in
-    lexicographic order) whose table differs from the first residue's, at
-    the smallest disagreeing distance.
+    table.  Each class is compared with the first class by two count dicts.
+    A table holds nothing below its nearest shell (d2, count) and exactly
+    count points at d2, so when two classes' shells differ their tables first
+    disagree where the one-entry dicts {d2: count} of the two shells do, and
+    no table is built.  Only classes whose shells agree are compared by
+    ``spectrum_at`` tables, and the first class's table is built at most
+    once, for the first such class; a one-class chain builds none.  The
+    witness pairs the first residue with the first residue (in
+    lexicographic order) whose table differs from it, at the least
+    d2 <= r2max at which the two dicts differ, with each side's count there
+    or 0; such a d2 exists unless both shells lie beyond r2max.
     """
     rs = residues(chain)
     _check_table_work(rs, r2max)  # the cheap guard first: the class scan's needs the period group
     classes = rs.class_shells()
-    first, first_keys, (d2a, count_a) = next(classes)
+    first, first_keys, shell = next(classes)
     ref = None
-    for c, keys, (d2b, count_b) in classes:
-        if (d2b, count_b) != (d2a, count_a):
-            d2 = min(d2a, d2b)
-            if d2 > r2max:
-                continue  # both tables are empty
-            return False, EdsWitness(
-                center_a=first,
-                center_b=c,
-                d2=d2,
-                count_a=count_a if d2a == d2 else 0,
-                count_b=count_b if d2b == d2 else 0,
-            )
-        if ref is None:
-            ref = spectrum_at(chain, first, r2max, _keys=first_keys).counts
-        t = spectrum_at(chain, c, r2max, _keys=keys).counts
-        if t == ref:
-            continue
-        d2 = min(k for k in set(ref) | set(t) if ref.get(k, 0) != t.get(k, 0))
-        return False, EdsWitness(
-            center_a=first,
-            center_b=c,
-            d2=d2,
-            count_a=ref.get(d2, 0),
-            count_b=t.get(d2, 0),
-        )
-    if d2a > r2max:
+    for c, keys, other in classes:
+        if other != shell:
+            a, b = {shell[0]: shell[1]}, {other[0]: other[1]}
+        else:
+            if ref is None:
+                ref = spectrum_at(chain, first, r2max, _keys=first_keys).counts
+            a, b = ref, spectrum_at(chain, c, r2max, _keys=keys).counts
+        d2 = min((k for k in a.keys() | b.keys() if a.get(k, 0) != b.get(k, 0)), default=r2max + 1)
+        if d2 <= r2max:
+            return False, EdsWitness(first, c, d2, a.get(d2, 0), b.get(d2, 0))
+    if shell[0] > r2max:
         raise ValueError("r2max is below the minimum squared distance")
     return True, None
 

@@ -125,6 +125,17 @@ def test_points_in_box_degenerate(e1):
         points_in_box(e1, (1, 0), (0, 5))
 
 
+def test_points_in_box_guard_refuses_before_the_first_residue(e1, monkeypatch):
+    # 2 residues times 500,001^2 translates each: about 5 * 10^11 candidate points
+    calls = []
+    monkeypatch.setattr(constellation, "residues", lambda chain: calls.append(chain) or residues(chain))
+    with pytest.raises(ValueError, match=r"^points_in_box: work 500002000002 exceeds the guard of 4000000$"):
+        points_in_box(e1, (-(10**6),) * 2, (10**6,) * 2)
+    assert calls == []
+    assert points_in_box(e1, (0, 0), (4, 4)) == [(0, 0), (0, 4), (1, 1), (4, 0), (4, 4)]
+    assert len(calls) == 1
+
+
 def test_periodicity():
     rng = random.Random(2002)
     for _ in range(30):

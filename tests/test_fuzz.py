@@ -2,12 +2,15 @@
 
 Every number drawn for main() is one that a guard refuses before the work it
 would size is allocated, and no thread count is one that would start a pool.
+The partner searches also run on drawn members, within their guards.  Every
+fuzzed main() call returns within CALL_SECONDS.
 """
 
 import contextlib
 import io
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,8 @@ from hypothesis import strategies as st
 
 from ccc.chainfile import ChainFormatError, parse_chain
 from ccc.cli import main
-from ccc.constellation import CodeChain
+from ccc.constellation import CodeChain, residues
+from ccc.presets import get_preset
 
 
 def parses_or_refuses(text: str) -> None:
@@ -80,13 +84,22 @@ def test_parse_chain_refuses_library_guards_as_format_errors():
         parse_chain(f"n 21\nL 1\ncode 1 generator\n{rows}")
 
 
+# Bound on one fuzzed main() call.  The slowest of 1,500 drawn calls took 0.15 s (nsm's first
+# numpy import); the largest work the guards admit here, euclid-brute on dplus5 members at squared
+# distance 565 (8 * 10^6 shell steps), takes about 1 s on one Xeon core.
+CALL_SECONDS = 5.0
+
+
 def run_main(argv) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
+    elapsed = time.perf_counter() - started
+    assert elapsed < CALL_SECONDS, f"{argv} took {elapsed:.3f} s"
     return code, out.getvalue(), err.getvalue()
 
 
@@ -116,12 +129,29 @@ R2MAX_REFUSED = st.sampled_from([-(10**12), -1, 0, 10**12])
 SAMPLES_REFUSED = st.sampled_from([-(10**12), -1, 0, 999, 10**14, 10**30])
 SEEDS = st.sampled_from([-(2**128), -1, 0, 2**128 - 1, 2**128, 2**200])
 THREADS_REFUSED = st.sampled_from([None, "-1", "-64"])
+# Wrong lengths, empty or non-integer parts, non-members, and the Euclidean shell guard's 4000,4000.
+COORDINATES = st.one_of(
+    st.lists(st.integers(-3, 3), max_size=5).map(lambda v: ",".join(map(str, v))),
+    st.sampled_from(["", ",", "0,,0", "x", "1.5", "0,0,", " 1, 1", "4000,4000"]),
+)
+
+
+def members_of(preset: str):
+    """Members of the preset's constellation, a residue plus a period translate, as coordinate lists."""
+    try:
+        chain = get_preset(preset)
+    except ValueError:
+        return st.nothing()
+    n, m = chain.n, chain.modulus
+    return st.tuples(st.sampled_from(sorted(residues(chain))), st.lists(st.integers(-1, 1), min_size=n, max_size=n)).map(
+        lambda t: ",".join(str(s + m * z) for s, z in zip(*t))
+    )
 
 
 @st.composite
 def command_lines(draw) -> list[str]:
     command = draw(st.sampled_from(
-        ["dplus", "presets", "info", "lattice", "theorem1", "gu", "spectrum", "eds", "gu-search", "nsm"]
+        ["dplus", "presets", "info", "lattice", "theorem1", "gu", "spectrum", "eds", "gu-search", "nsm", "partner"]
     ))
     if command == "dplus":
         return ["dplus", "--n", str(draw(N_REFUSED))]
@@ -135,6 +165,11 @@ def command_lines(draw) -> list[str]:
         argv += ["--r2max", str(draw(R2MAX_REFUSED))]
     elif command == "nsm":
         argv += ["--samples", str(draw(SAMPLES_REFUSED)), "--seed", str(draw(SEEDS))]
+    elif command == "partner":  # no refused option, so that the searches run
+        point = st.one_of(members_of(argv[2]), COORDINATES)
+        argv += ["--mode", draw(st.sampled_from(["lemma1", "cw-brute", "euclid-brute"]))]
+        argv += [f"--{name}={draw(point)}" for name in ("x", "y", "xp")]
+        return argv + ["--format", draw(st.sampled_from(["human", "json"]))]
     threads = draw(THREADS_REFUSED)
     if threads is not None:
         argv += ["--threads", threads]
