@@ -26,11 +26,11 @@ _EXPORTS = {
     "presets": ("dplus_chain",),
     "quantizer": ("NsmEstimate", "covolume", "nearest", "nsm_estimate"),
     "spectrum": (
-        "EdsWitness", "SpectrumTable", "cw_count", "cw_equidistant", "eds_check", "kissing_stats", "spectrum_at",
+        "EdsWitness", "SpectrumTable", "cw_equidistant", "eds_check", "kissing_stats", "spectrum_at",
     ),
     "uniformity": (
         "GuCertificate", "GuSearchResult", "GuTwoLevelResult", "IsometryCandidate", "PartnerTrace", "ReflectionMap",
-        "euclidean_partner_all", "euclidean_partner_bruteforce", "gu_check_two_level", "gu_subgroup_search",
+        "euclidean_partner_all", "gu_check_two_level", "gu_subgroup_search",
         "partner_bruteforce", "partner_construct", "reflection_for",
     ),
 }

@@ -14,7 +14,8 @@ unpacking points, lane-wise sums and scalar multiples, and the elimination
 mod 2^L (``howell_rows``) from which the lattice algebra builds every
 lattice.  A ``ResidueSet`` is a ``Lanes`` that holds its residue words: sums
 and membership tests run on the packed words; signed permutations read
-coordinates and pack their images, and folded keys read coordinates.
+coordinates and pack their images, and folded keys read coordinates.  Its
+period subgroup H is kept as echelon rows from that elimination, never listed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from math import comb, prod
 from operator import and_, mul, not_, rshift, sub
 from typing import Callable, Collection, Iterable, Iterator, Sequence, TypeVar
 
-from .f2 import BinaryCode, Record, Word, is_linear, is_nested
+from .f2 import BinaryCode, Record, SpanTracker, Word, is_linear, is_nested, unpack
 
 Point = tuple[int, ...]
 KeyCounts = frozenset[tuple[tuple[int, ...], int]]  # folded keys with multiplicities
@@ -172,15 +173,15 @@ class Lanes:
         words, mask = list(words), self.modulus - 1
         return [map(and_, map(rshift, words, repeat(shift)), repeat(mask)) for shift in self._shifts]
 
-    def howell_rows(self, words: Collection[int]) -> list[Point | None]:
+    def howell_rows(self, words: Collection[int]) -> list[int | None]:
         """An echelon basis, one row per lane, of the subgroup <G> the words generate in (Z/m)^n.
 
         The words may be any generators: residue words, scaled basis rows,
         zeros and duplicates alike.  Row j is None when lane j has no pivot:
         every element of <G> that is 0 in lanes 0..j-1 is 0 in lane j too.
         Otherwise it is such an element whose lane j reads 2^b, b the least
-        2-adic valuation any of them has there, as a point with coordinates in
-        [0, m).
+        2-adic valuation any of them has there, as a packed word; |<G>| is
+        the product of m / 2^b over the rows.
 
         This is elimination mod m = 2^L on the packed words (Howell, Lin.
         Multilin. Algebra 1986; Storjohann & Mulders, ESA 1998), with every word
@@ -226,7 +227,7 @@ class Lanes:
             left.discard(0)
             pivots.append(pivot)
             rows = left
-        return [None if p is None else self.point(p) for p in pivots]
+        return pivots
 
 
 class ResidueSet(Lanes):
@@ -237,7 +238,10 @@ class ResidueSet(Lanes):
     witness), signed permutations (symmetry) and folded differences
     (spectrum classes).  Those questions are asked point by point, and
     ``per_coset`` asks each one once per coset of the verified period
-    subgroup ``period_words``, whose generators ``fixes`` checks.
+    subgroup H, whose generators ``fixes`` checks.  H is kept only as its
+    echelon rows (``_period_rows``); ``_least`` takes a word to the least
+    word of its coset, the coset representatives are the words it leaves as
+    they are, and the coset counts are read from the rows.
 
     It holds the residues, and its period candidates, as packed words
     (``words``).  Sums add lane-wise with ``_translates``, and membership
@@ -280,77 +284,86 @@ class ResidueSet(Lanes):
         members = self.words
         return all(map(members.__contains__, self._translates(members, g)))
 
+    def _least(self, w: int, rows: Iterable[tuple[int, int, int]]) -> int:
+        """The least word of w + H, H spanned by echelon rows as ``_period_rows`` keeps them.
+
+        At each pivot lane j in order, w loses (w_j >> b) times the pivot row,
+        leaving lane j at w_j mod 2^b: the elements of H that are 0 before
+        lane j read exactly the multiples of 2^b there (``howell_rows``), so
+        every lane ends the least it can be, and w the first word of its coset.
+        """
+        add, times = self.add, self.times
+        for at, low, row in rows:
+            k = w >> at & low
+            if k:
+                w = add(w, times(row, -k & low))
+        return w
+
     @cached_property
-    def period_words(self) -> set[int]:
-        """A subgroup H of the period group G = {t : R + t = R mod m}, as one set of packed words.
+    def _period_rows(self) -> tuple[tuple[int, int, int], ...]:
+        """A subgroup H of the period group G = {t : R + t = R mod m}, as its echelon rows.
 
         G is Forney's translation group of a geometrically uniform code.  H is
         the group generated by the ``candidates``, words g that pass ``fixes``
         one by one.  No candidate is trusted unchecked (a scaled codeword need
         not fix R, because integer addition carries into the next level), and
         sums of translations that fix R fix R, so H lies in G; a set where no
-        candidate passes gets H = {0}.  Each check looks up |R| residues, so
-        the checks are guarded as len(candidates) * |R| lookups.  H is kept
-        once, as this set; callers only read it.
+        candidate passes gets H = {0}, and one already in H is not checked.
+        Each check looks up |R| residues, so the checks are guarded as
+        len(candidates) * |R| lookups.  H is kept as the ``howell_rows`` of
+        the candidates that pass, each pivot row, whose lane reads 2^b, as
+        (the bit offset of that 2^b, the mask m / 2^b - 1, the row).
         """
         check_work("period_group", len(self.candidates) * len(self), MAX_PERIOD_WORK)
-        members = {0}
+        mask, rows = self.modulus - 1, ()
         for g in self.candidates:
-            if g in members or not self.fixes(g):
+            if not self._least(g, rows) or not self.fixes(g):
                 continue
-            block = members  # the cosets H + k*g are new until k*g falls in H
-            while True:
-                block = list(self._translates(block, g))
-                if block[0] in members:
-                    break
-                members.update(block)
-        return members
-
-    def _subgroup(self, even: bool) -> Collection[int]:
-        """H = ``period_words``, or when ``even`` H ∩ 2Z^n: the periods whose lanes all have low bit 0."""
-        return [h for h in self.period_words if not h & self._ones] if even else self.period_words
+            pivots = zip(self._shifts, self.howell_rows([g, *(r for _, _, r in rows)]))  # the rows generate H
+            rows = tuple((s + b, mask >> b, r) for s, r in pivots if r for b in [(r >> s & mask).bit_length() - 1])
+        return rows
 
     def coset_count(self, even: bool = False) -> int:
-        """|R/H| = |R| / |H|, or the same for H ∩ 2Z^n when ``even``, read before any walk.
+        """|R/H|, or |R/(H ∩ 2Z^n)| when ``even``, read from the echelon rows of H.
 
         R is a union of cosets of each, since R + h = R for every period h.
+        |H| is the product of m / 2^b over the rows, and |H/(H ∩ 2Z^n)| =
+        |H mod 2| is 2 to the rank over F2 of the rows mod 2.
         """
-        return len(self) // len(self._subgroup(even))
-
-    def _coset_walk(self, even: bool = False) -> Iterator[tuple[int, int]]:
-        """Yield (w, the first word of w's coset of ``_subgroup(even)``) for every word w in increasing order."""
-        group = self._subgroup(even)
-        first: dict[int, int] = {}  # coset members not yet reached -> their first word
-        for w in self._order:
-            if w not in first:
-                first.update(zip(self._translates(group, w), repeat(w)))
-            yield w, first.pop(w)
+        rows, bits = self._period_rows, self._ones.bit_length()
+        count = len(self) >> sum(low.bit_length() for _, low, _ in rows)
+        if even:
+            span = SpanTracker(bits)
+            count <<= sum(span.add(unpack(row & self._ones, bits)) for _, _, row in rows)
+        return count
 
     def per_coset(self, fn: Callable[[Point], T], even: bool = False) -> Iterator[tuple[Point, T]]:
         """Yield (x, fn(r)) for every residue x in sorted order, r the first residue of x's coset.
 
-        The cosets are ``_coset_walk``'s: of H, or of H ∩ 2Z^n when ``even``.
-        This is sound for any question whose answer is the same at x and
-        x + h for h in the group: for h in H, R + h = R and R - h = R, so
-        translating a point by h permutes the residues it is measured
+        The cosets are of H, keyed by their least word, or of H ∩ 2Z^n when
+        ``even``.  This is sound for any question whose answer is the same at
+        x and x + h for h in the group: for h in H, R + h = R and R - h = R,
+        so translating a point by h permutes the residues it is measured
         against.  A question that also reads x mod 2 is constant only on
         H ∩ 2Z^n, and two residues share a coset of H ∩ 2Z^n exactly when
-        they share a coset of H and agree mod 2.  fn runs once per coset,
-        when its first residue is reached; a caller that stops early leaves
-        the later cosets uncalled, and the first x with a given answer is the
-        one a per-residue loop would find.  The points are read from the
-        iteration of the set, in step with the walk over the sorted words.
+        they share a coset of H and agree mod 2, the key's second part.  fn
+        runs once per coset, when its first residue is reached, so a caller
+        that stops early leaves the later cosets uncalled, and the first x
+        with a given answer is the one a per-residue loop would find.
         """
-        answers: dict[int, T] = {}  # first word of each coset reached -> its answer
-        for (w, first), x in zip(self._coset_walk(even), self):
-            if w == first:
-                answers[w] = fn(x)
-            yield x, answers[first]
+        rows, ones, least = self._period_rows, self._ones, self._least
+        answers: dict = {}  # key of each coset reached -> its answer
+        for w, x in zip(self._order, self):
+            key = (least(w, rows), w & ones) if even else least(w, rows)
+            if key not in answers:
+                answers[key] = fn(x)
+            yield x, answers[key]
 
     @cached_property
     def _representatives(self) -> list[int]:
-        """The first word of each coset of H, in increasing order."""
-        return [w for w, first in self._coset_walk() if w == first]
+        """The first word of each coset of H, in order: those ``_least`` keeps, below 2^b in every pivot lane."""
+        high = sum(low << at for at, low, _ in self._period_rows)  # each pivot lane's bits from b up
+        return sorted(w for w in self.words if not w & high)
 
     def first_pair_outside(self) -> tuple[Point, Point] | None:
         """The lexicographically first residue pair whose sum is not a residue.

@@ -7,9 +7,11 @@ finite: each is the preimage in Z^n of a subgroup of (Z/m)^n.  One
 elimination mod 2^L on packed words (``Lanes.howell_rows``), which leaves at
 most n pivot rows, builds every lattice here from its generators: the residue
 words for the smallest lattice holding a constellation, the scaled
-nested-basis rows for Construction D.  The Construction-D criterion compares
-the scaled nested-basis combinations, summed by ``Lanes``, with the residue
-words; no lane is read here.
+nested-basis rows for Construction D.  It also gives the rows of a residue
+set's period subgroup H, from the candidates that pass ``fixes``, which the
+direct closure test reads.  The Construction-D criterion compares the scaled
+nested-basis combinations, summed by ``Lanes``, with the residue words; no
+lane is read here.
 """
 
 from __future__ import annotations
@@ -94,15 +96,15 @@ def _generated_lattice(lanes: Lanes, words: Collection[int]) -> IntegerLattice:
     """The lattice the packed words and the period translates m * e_j generate, m = 2^L, in Hermite Normal Form.
 
     It is the preimage in Z^n of the subgroup <G> the words generate in
-    (Z/m)^n.  ``lanes.howell_rows`` leaves one row per lane j: its pivot row,
-    or m * e_j where lane j has no pivot.  The n rows are upper triangular
-    and lie in the lattice, and their diagonal product is its index
-    m^n / |<G>|, so they are a basis; reducing the entries above each pivot
-    gives the Hermite Normal Form.
+    (Z/m)^n.  ``lanes.howell_rows`` leaves one row per lane j: its pivot
+    row, unpacked, or m * e_j where lane j has no pivot.  The n rows are
+    upper triangular and lie in the lattice, and their diagonal product is
+    its index m^n / |<G>|, so they are a basis; reducing the entries above
+    each pivot gives the Hermite Normal Form.
     """
     n, m, rows = lanes.n, lanes.modulus, lanes.howell_rows(words)
     return _reduced_above_pivots(
-        [[m if k == j else 0 for k in range(n)] if row is None else list(row) for j, row in enumerate(rows)]
+        [[m * (k == j) for k in range(n)] if row is None else list(lanes.point(row)) for j, row in enumerate(rows)]
     )
 
 
@@ -205,10 +207,10 @@ def is_lattice_direct(chain: CodeChain, find_witness: bool = True) -> tuple[bool
     """Decide whether the constellation is closed under addition.
 
     The residue set R is closed under addition mod 2^L exactly when the
-    infinite point set is a lattice.  The verdict is whether the period
-    subgroup H equals R:
+    infinite point set is a lattice.  The verdict is whether 0 is the only
+    coset representative of the period subgroup H in R (R = 0 + H):
 
-    * If H = R, then R is a group.
+    * If so, R is the one coset 0 + H = H, a group.
     * If R is a group, then 0 is a residue, so every code holds the zero
       word.  Each candidate 2^i * b (b in the echelon basis of C_(i+1)) is
       then a residue, and it fixes R.
@@ -216,10 +218,7 @@ def is_lattice_direct(chain: CodeChain, find_witness: bool = True) -> tuple[bool
       2^(i+1), the members of that group that are divisible by 2^i give
       every word of C_(i+1).  Hence the group has at least
       |C_1|...|C_L| = |R| elements.  H fixes R and 0 is a residue, so H
-      lies in R, and H = R.
-
-    The sets of packed words are compared, not their sizes: R = {(1,)} and
-    H = {(0,)} have one element each.
+      lies in R, and H = R: one coset, whose least word is 0.
 
     Only when the verdict is False and a witness is requested are residue
     pairs scanned, one pair of coset representatives of H at a time, in
@@ -227,7 +226,7 @@ def is_lattice_direct(chain: CodeChain, find_witness: bool = True) -> tuple[bool
     |R/H|^2 pair checks are guarded before the first one.
     """
     rs = residues(chain)
-    closed = rs.period_words == rs.words
+    closed = rs._representatives == [0]
     if closed or not find_witness:
         return closed, None
     witness = rs.first_pair_outside()

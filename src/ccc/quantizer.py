@@ -95,6 +95,17 @@ def _is_even_weight(code: BinaryCode) -> bool:
     return code.size == 1 << (code.n - 1) and all(sum(w) % 2 == 0 for w in code.words)
 
 
+def _decode_work(chain: CodeChain, samples: int) -> int:
+    """A-priori decoding work from the code sizes: samples x |C_1|...|C_(L-1)| lower words x top-code steps.
+
+    Wagner's rule takes n steps per sample; the search scores every codeword
+    of length n.  Nothing is built, so a refused run loads no numpy.
+    """
+    *lower, top = chain.codes
+    steps = chain.n * (1 if _is_even_weight(top) else top.size)
+    return samples * math.prod(code.size for code in lower) * steps
+
+
 class _CosetDecoder(NamedTuple):
     """Exact nearest-point decoding of one chain, one top-code coset at a time."""
 
@@ -115,15 +126,6 @@ class _CosetDecoder(NamedTuple):
         code = chain.codes[-1]
         top = None if _is_even_weight(code) else np.array(code.sorted_words(), dtype=bool)
         return cls(shifts, chain.modulus // 2, chain.modulus, top)
-
-    def work(self, samples: int) -> int:
-        """A-priori decoding work: samples x lower words x per-sample top-code steps.
-
-        Wagner's rule takes n steps per sample; the search scores every
-        codeword of length n.
-        """
-        lower, n = self.shifts.shape
-        return samples * lower * n * (1 if self.top is None else len(self.top))
 
     def top_index(self, delta: np.ndarray) -> np.ndarray:
         """Per row of delta, the index of the first top codeword x with the least delta @ x."""
@@ -305,8 +307,8 @@ def nsm_estimate(
         raise ValueError(f"seed must be in 0..2**128-1, got {seed}")
     n = chain.n
     m = chain.modulus
+    check_work("nsm_estimate", _decode_work(chain, samples), MAX_DECODE_WORK)
     dec = _CosetDecoder.of(chain)
-    check_work("nsm_estimate", dec.work(samples), MAX_DECODE_WORK)
     vol = covolume(chain)
     norm = n * float(vol) ** (2.0 / n)
 

@@ -18,8 +18,9 @@ tables, made at the class's lexicographically first residue with the key
 multiset the scan read there, are built only for classes whose shell agrees
 with the first's.  The multiset is the same at x and x + h for a period h
 of the residue set, so the class scan runs on the coset representatives of
-``ResidueSet``'s coset walk: |R/H| * |R| folded keys, not |R|^2, a count
-read before the walk as ``coset_count() * |R|``.
+H in ``ResidueSet``, the words its coset reduction leaves as they are:
+|R/H| * |R| folded keys, not |R|^2, a count read from H's echelon rows
+before any key as ``coset_count() * |R|``.
 
 The folded keys, the nearest shells and the class scan are methods of
 ``ResidueSet``.  The scan is lazy and memoized on its residue set, so it runs
@@ -42,8 +43,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple, Sequence
 
-from .constellation import MAX_SPECTRUM_WORK, CodeChain, KeyCounts, Point, ResidueSet, check_work, contains
-from .constellation import cw_members, residues
+from .constellation import MAX_SPECTRUM_WORK, CodeChain, KeyCounts, Point, ResidueSet, check_work, contains, residues
 
 
 class SpectrumTable(NamedTuple):
@@ -146,13 +146,6 @@ def kissing_stats(chain: CodeChain) -> tuple[int, set[int]]:
     shells = [shell for _, _, shell in residues(chain).class_shells()]
     d2min = min(d2 for d2, _ in shells)
     return d2min, {count if d2 == d2min else 0 for d2, count in shells}
-
-
-def cw_count(chain: CodeChain, x: Sequence[int], e: Sequence[int]) -> int:
-    """Number of members y with y - x equal to e up to coordinate sign flips."""
-    if not contains(chain, x):
-        raise ValueError(f"point {tuple(x)} is not in the constellation")
-    return len(cw_members(chain, x, e))
 
 
 @lru_cache(maxsize=None)

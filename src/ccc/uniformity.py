@@ -285,14 +285,6 @@ def euclidean_partner_all(
     return sorted(y2 for e in _shell_vectors(chain.n, d2) for y2 in cw_members(chain, xp, e))
 
 
-def euclidean_partner_bruteforce(
-    chain: CodeChain, x: Sequence[int], y: Sequence[int], xp: Sequence[int]
-) -> Point | None:
-    """First member at the exact Euclidean distance ||y - x|| from xp, if any."""
-    hits = euclidean_partner_all(chain, x, y, xp)
-    return hits[0] if hits else None
-
-
 def _shell_vectors(n: int, d2: int) -> Iterable[tuple[int, ...]]:
     """Nonnegative integer vectors with squared norm exactly d2, in lexicographic order."""
 

@@ -321,11 +321,6 @@ def packed_set(n: int, m: int, points: Iterable[Sequence[int]], candidates: Sequ
     return ResidueSet(n, m, frozenset(pack_point(m, p) for p in points), [pack_point(m, g) for g in candidates])
 
 
-def period_points(rs: ResidueSet) -> frozenset[Point]:
-    """The period subgroup ``rs.period_words``, unpacked to points."""
-    return frozenset(unpack_point(rs.n, rs.modulus, h) for h in rs.period_words)
-
-
 def fixes_oracle(rs: ResidueSet, g: Sequence[int]) -> bool:
     """Slow path of ResidueSet.fixes: R + g inside R, one coordinate at a time."""
     m, members = rs.modulus, frozenset(rs)
@@ -333,7 +328,11 @@ def fixes_oracle(rs: ResidueSet, g: Sequence[int]) -> bool:
 
 
 def period_group_oracle(rs: ResidueSet) -> frozenset[Point]:
-    """Slow path of ResidueSet.period_words: the candidates that pass fixes_oracle, closed on tuples."""
+    """Slow path of ResidueSet._period_rows: the group the candidates that pass fixes_oracle generate, listed as tuples.
+
+    Each new candidate adds the translates of the group so far by its
+    multiples until one falls back in: fewer than 2|H| additions in all.
+    """
     m, zero = rs.modulus, (0,) * rs.n
     group, members = [zero], {zero}
     for g in (unpack_point(rs.n, m, w) for w in rs.candidates):
@@ -350,9 +349,10 @@ def period_group_oracle(rs: ResidueSet) -> frozenset[Point]:
 
 
 def coset_firsts_oracle(rs: ResidueSet, even: bool = False) -> dict[Point, Point]:
-    """Slow path of the per-coset walk: each residue's first coset member, on tuples.
+    """Slow path of the per-coset keys: each residue's first coset member, on tuples.
 
-    The cosets are those of period_group_oracle, or of its even members when ``even``.
+    The cosets are those of period_group_oracle, or of its even members when
+    ``even``.  Each coset is listed once, from its first residue: |R| additions.
     """
     m = rs.modulus
     group = [h for h in period_group_oracle(rs) if not even or all(v % 2 == 0 for v in h)]

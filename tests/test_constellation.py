@@ -35,7 +35,6 @@ from conftest import (
     pack_point,
     packed_set,
     period_group_oracle,
-    period_points,
     random_member,
     random_nested_chain,
     residues_oracle,
@@ -191,19 +190,31 @@ def test_cw_members_matches_sign_loop(chain, data):
 
 
 def _check_period_cosets(chain: CodeChain) -> None:
+    # every check is linear in |R| + |H|, so no draw stalls: H is checked on a
+    # generating set, and each coset as a whole from its first residue
     rs = residues(chain)
-    m = chain.modulus
-    group = period_points(rs)
-    rep_of = dict(rs.per_coset(lambda r: r))
+    m, members = chain.modulus, frozenset(rs)
+    group = period_group_oracle(rs)
     add = lambda a, b: tuple((x + y) % m for x, y in zip(a, b))
-    for h in group:
-        assert {add(s, h) for s in rs} == frozenset(rs)
-    assert all(add(a, b) in group for a in group for b in group)
+    gens, spanned = [], {(0,) * chain.n}  # greedy generators of H and the group they generate so far
+    for h in sorted(group):
+        if h not in spanned:
+            gens.append(h)
+            block = list(spanned)
+            while (block := [add(s, h) for s in block])[0] not in spanned:
+                spanned.update(block)
+    assert spanned == group and 2 ** len(gens) <= len(group)  # H is closed: the group its generators generate
+    for g in gens:
+        assert {add(s, g) for s in rs} == members
     # H is all of R exactly when R is a subgroup, that is when the chain is a lattice
-    assert (group == frozenset(rs)) == (first_failing_pair(chain) is None)
-    assert set(rep_of) == frozenset(rs)
-    assert all(rep_of[x] == min(add(x, h) for h in group) for x in rs)
-    assert rs.coset_count() == sum(rep_of[x] == x for x in rs)
+    assert (group == members) == (first_failing_pair(chain) is None)
+    cosets: dict = {}  # first residue -> the residues that get its answer, in order
+    for x, r in rs.per_coset(lambda r: r):
+        cosets.setdefault(r, []).append(x)
+    assert sum(map(len, cosets.values())) == len(rs)
+    for r, xs in cosets.items():
+        assert xs[0] == r and set(xs) == {add(r, h) for h in group}
+    assert rs.coset_count() == len(cosets)
 
 
 @settings(max_examples=150, deadline=None)
@@ -220,14 +231,7 @@ def test_period_cosets_nested_chains(chain):
 
 def _check_per_coset(chain: CodeChain, data) -> None:
     rs = residues(chain)
-    m = chain.modulus
-    group = period_points(rs)
-
-    def first_of(sub):  # each residue's first coset member, by brute force
-        return {x: min(tuple((a + b) % m for a, b in zip(x, h)) for h in sub) for x in rs}
-
-    first_h = first_of(group)
-    first_even = first_of([h for h in group if all(v % 2 == 0 for v in h)])
+    first_h, first_even = coset_firsts_oracle(rs), coset_firsts_oracle(rs, even=True)
     for even, first in ((False, first_h), (True, first_even)):
         calls: list = []
 
@@ -311,8 +315,14 @@ def test_packed_core_matches_tuple_oracles(chain, data):
     # must be dropped rather than spill into the next coordinate
     rs, m = residues(chain), chain.modulus
     assert tuple(rs) == tuple(sorted(residues_oracle(chain)))
-    assert rs.period_words == frozenset(pack_point(m, h) for h in period_group_oracle(rs))
+    # the reduction takes each word to the least word of its coset of H, and H to 0
+    group, rows = period_group_oracle(rs), rs._period_rows
     firsts = coset_firsts_oracle(rs)
+    assert [rs._least(pack_point(m, x), rows) for x in rs] == [pack_point(m, firsts[x]) for x in rs]
+    word = data.draw(st.lists(st.integers(0, m - 1), min_size=chain.n, max_size=chain.n), label="word")
+    least = min(tuple((a + b) % m for a, b in zip(word, h)) for h in group)
+    assert rs._least(pack_point(m, word), rows) == pack_point(m, least)
+    assert not any(rs._least(pack_point(m, h), rows) for h in group)
     assert rs._representatives == [pack_point(m, x) for x in rs if firsts[x] == x]
     for even in (False, True):
         firsts = coset_firsts_oracle(rs, even)
@@ -414,9 +424,9 @@ def test_period_group_guard_counts_the_fixes_lookups(monkeypatch):
     monkeypatch.setattr(constellation, "MAX_PERIOD_WORK", 5 * 32 - 1)
     residues.cache_clear()
     with pytest.raises(ValueError, match=r"^period_group: work 160 exceeds the guard of 159$"):
-        residues(dplus_chain(5)).period_words
+        residues(dplus_chain(5))._period_rows
     monkeypatch.setattr(constellation, "MAX_PERIOD_WORK", 5 * 32)
-    assert len(residues(dplus_chain(5)).period_words) == 16
+    assert residues(dplus_chain(5)).coset_count() == 2  # |H| = 16 of the 32 residues
 
 
 def test_period_group_guard_refuses_before_the_first_fixes_check(monkeypatch):
@@ -426,5 +436,5 @@ def test_period_group_guard_refuses_before_the_first_fixes_check(monkeypatch):
     fixes = []
     monkeypatch.setattr(ResidueSet, "fixes", lambda self, g: fixes.append(g))
     with pytest.raises(ValueError, match=r"^period_group: work 268435456 exceeds the guard of 100000000$"):
-        rs.period_words
+        rs._period_rows
     assert fixes == []

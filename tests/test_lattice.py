@@ -33,6 +33,7 @@ from conftest import (
     small_chains,
     smallest_lattice_oracle,
     subgroup_closure,
+    unpack_point,
 )
 
 
@@ -120,7 +121,9 @@ def test_smallest_lattice_howell_closure_and_odd_unit():
     # the pivot (3, 1) is multiplied by 3^-1 = 11 mod 16, so lane 0 reads 1
     assert smallest_lattice(ODD_UNIT).basis == ((1, 11), (0, 16))
     for chain, rows in ((HOWELL_CLOSURE, [(2, 1), (0, 2)]), (ODD_UNIT, [(1, 11), None])):
-        assert Lanes(chain.n, chain.modulus).howell_rows(residues(chain).words) == rows
+        n, m = chain.n, chain.modulus
+        words = Lanes(n, m).howell_rows(residues(chain).words)
+        assert [None if w is None else unpack_point(n, m, w) for w in words] == rows
 
 
 @st.composite
@@ -140,7 +143,7 @@ def test_howell_rows_on_any_generator_words_give_the_oracle_lattice(case):
     n, m, words = case
     L = m.bit_length() - 1
     points = [tuple(w >> (L * (n - 1 - j)) & (m - 1) for j in range(n)) for w in words]
-    rows = Lanes(n, m).howell_rows(words)
+    rows = [None if w is None else unpack_point(n, m, w) for w in Lanes(n, m).howell_rows(words)]
     assert len(rows) == n
     for j, row in enumerate(rows):
         if row is not None:  # echelon: 0 before lane j, a power of two below m in lane j

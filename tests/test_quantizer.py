@@ -18,6 +18,7 @@ from ccc.quantizer import (
     ROW_BLOCK,
     SAMPLE_BATCH,
     _CosetDecoder,
+    _decode_work,
     _Workspace,
     covolume,
     nearest,
@@ -298,7 +299,7 @@ def test_nsm_work_guard():
 
 
 def work(chain: CodeChain, samples: int) -> int:
-    return _CosetDecoder.of(chain).work(samples)
+    return _decode_work(chain, samples)
 
 
 def test_work_guard_admits_existing_callers():
